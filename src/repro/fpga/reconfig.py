@@ -12,9 +12,9 @@ port, which reloads the golden image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
-from ..sim import Environment
+from ..sim import Environment, Event
 
 #: Full-device reconfiguration time (Stratix V-class, from flash/PCIe).
 FULL_RECONFIG_SECONDS = 1.0
@@ -63,6 +63,7 @@ class ConfigurationManager:
         self.partial_reconfigs = 0
         self.power_cycles = 0
         self.on_link_change: Optional[Callable[[bool], None]] = None
+        self._idle_waiters: List[Event] = []
 
     # ------------------------------------------------------------------
     def write_application_image(self, image: Image) -> None:
@@ -72,6 +73,22 @@ class ConfigurationManager:
             raise ConfigurationError(
                 "policy: the golden image slot is never rewritten in situ")
         self.flash_application = image
+
+    def until_idle(self) -> Event:
+        """Event that succeeds once no reconfiguration is in progress
+        (at once if none is)."""
+        event = self.env.event()
+        if self.reconfiguring:
+            self._idle_waiters.append(event)
+        else:
+            event.succeed()
+        return event
+
+    def _finish(self) -> None:
+        self.reconfiguring = False
+        waiters, self._idle_waiters = self._idle_waiters, []
+        for event in waiters:
+            event.succeed()
 
     def _set_link(self, up: bool) -> None:
         if self.link_up != up:
@@ -93,8 +110,8 @@ class ConfigurationManager:
         self._set_link(False)
         yield self.env.timeout(FULL_RECONFIG_SECONDS)
         self.live_image = target
-        self.reconfiguring = False
         self.full_reconfigs += 1
+        self._finish()
         self._set_link(True)
 
     def partial_reconfigure(self, image: Image):
@@ -108,8 +125,8 @@ class ConfigurationManager:
         self.reconfiguring = True
         yield self.env.timeout(PARTIAL_RECONFIG_SECONDS)
         self.live_image = image
-        self.reconfiguring = False
         self.partial_reconfigs += 1
+        self._finish()
 
     def power_cycle(self):
         """Process: management-port power cycle -> golden image loads.
@@ -123,6 +140,6 @@ class ConfigurationManager:
         self._set_link(False)
         yield self.env.timeout(POWER_CYCLE_SECONDS)
         self.live_image = self.flash_golden
-        self.reconfiguring = False
         self.power_cycles += 1
+        self._finish()
         self._set_link(True)

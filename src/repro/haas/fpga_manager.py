@@ -120,10 +120,19 @@ class FpgaManager:
         A stale ``fence`` makes this a recorded no-op rather than an
         exception: the caller is on the wrong side of a partition and
         must not overwrite whatever the host's new owner deployed.
+
+        A reconfiguration still running for the host's previous owner
+        (its lease was released mid-swap) is waited out, and the fence
+        checked again before this one starts.
         """
         if not self._check_fence(fence, "configure"):
             return
-        yield from self.shell.configuration.partial_reconfigure(image)
+        configuration = self.shell.configuration
+        while configuration.reconfiguring:
+            yield configuration.until_idle()
+            if not self._check_fence(fence, "configure"):
+                return
+        yield from configuration.partial_reconfigure(image)
         self.configurations += 1
 
     # ------------------------------------------------------------------

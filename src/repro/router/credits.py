@@ -36,6 +36,10 @@ class CreditPool:
         """Credits a new flit on ``vc`` could claim right now."""
         raise NotImplementedError
 
+    def used(self, vc: int) -> int:
+        """Credits ``vc`` holds right now."""
+        raise NotImplementedError
+
     @property
     def in_use(self) -> int:
         raise NotImplementedError
@@ -66,6 +70,9 @@ class StaticCreditPool(CreditPool):
 
     def available(self, vc: int) -> int:
         return self._capacity[vc] - self._used[vc]
+
+    def used(self, vc: int) -> int:
+        return self._used[vc]
 
     @property
     def in_use(self) -> int:
@@ -123,6 +130,9 @@ class ElasticCreditPool(CreditPool):
     def available(self, vc: int) -> int:
         reserved_left = self.reserved_per_vc - self._reserved_used[vc]
         return reserved_left + (self._shared_capacity - self._shared_used)
+
+    def used(self, vc: int) -> int:
+        return self._reserved_used[vc] + self._borrowed[vc]
 
     @property
     def in_use(self) -> int:

@@ -42,6 +42,7 @@ class RouterStats:
 
     messages_injected: int = 0
     messages_delivered: int = 0
+    flits_injected: int = 0
     flits_switched: int = 0
     cycles: int = 0
     injection_stall_cycles: int = 0
@@ -103,9 +104,19 @@ class ElasticRouter:
         self._running = False
         self._parked = False
         self._stored = False
-        # Running flit count across all input buffers, so _step need not
-        # re-sum every queue per cycle.
+        self._priority = env.new_clock_priority()
+        # Running flit count across all input buffers, and the number of
+        # input ports with pending flits, so the clock decides "any work
+        # left?" and "single stream?" without re-scanning the queues.
         self._occupancy = 0
+        self._busy_ports = 0
+        # Fast-forward state (see _plan): the port of the one stream, the
+        # silent edges not yet applied, the time of the last edge applied
+        # and the generation of the planned wake (-1 port: not skipping).
+        self._ff_port = -1
+        self._ff_left = 0
+        self._ff_time = 0.0
+        self._ff_gen = 0
         env.call_later(0.0, self._boot)
 
     # ------------------------------------------------------------------
@@ -139,9 +150,15 @@ class ElasticRouter:
                           trace=trace)
         flits = packetize(message, self.flit_bytes)
         done = self.env.event()
+        if self._ff_port >= 0:
+            self._interrupt()
+        pending = self._pending[src_port]
+        if not pending:
+            self._busy_ports += 1
         for flit in flits:
-            self._pending[src_port].append((flit, done))
+            pending.append((flit, done))
         self.stats.messages_injected += 1
+        self.stats.flits_injected += len(flits)
         self._kick()
         return done
 
@@ -160,6 +177,43 @@ class ElasticRouter:
         """Flits currently buffered at ``port`` across all VCs."""
         return sum(len(q) for q in self._buffers[port])
 
+    def conservation_violations(self) -> List[str]:
+        """Check the router's flit and credit conservation laws; return a
+        description of each broken one (empty when all hold).
+
+        * per (port, VC): credits in use == flits buffered;
+        * flits injected == switched + buffered + pending.
+
+        Silent cycles of a fast-forwarded stream that are not applied yet
+        keep their flits pending, so both laws hold at any instant.
+        """
+        broken = []
+        buffered = pending = 0
+        for port in range(self.num_ports):
+            pool = self._credits[port]
+            for vc, queue in enumerate(self._buffers[port]):
+                buffered += len(queue)
+                if pool.used(vc) != len(queue):
+                    broken.append(
+                        f"{self.name} port {port} vc {vc}: "
+                        f"{pool.used(vc)} credits in use, "
+                        f"{len(queue)} flits buffered")
+            pending += len(self._pending[port])
+        stats = self.stats
+        if stats.flits_injected != stats.flits_switched + buffered + pending:
+            broken.append(
+                f"{self.name}: {stats.flits_injected} flits injected != "
+                f"{stats.flits_switched} switched + {buffered} buffered + "
+                f"{pending} pending")
+        if buffered != self._occupancy:
+            broken.append(f"{self.name}: occupancy {self._occupancy} != "
+                          f"{buffered} flits buffered")
+        busy = sum(1 for queue in self._pending if queue)
+        if busy != self._busy_ports:
+            broken.append(f"{self.name}: {self._busy_ports} busy ports "
+                          f"counted, {busy} with pending flits")
+        return broken
+
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
@@ -171,7 +225,9 @@ class ElasticRouter:
     # consecutive StorePut+StoreGet pair into one Deferred, and stashed
     # kicks drop the StorePut entirely; both eliminations are no-op pops
     # compensated in ``events_processed`` so seeded event counts stay
-    # bit-identical.
+    # bit-identical.  Cycle edges carry the router's clock priority
+    # (see ``Environment.new_clock_priority``) and may be skipped in bulk
+    # (see "Fast-forward" below).
     def _kick(self) -> None:
         if self._running or self._stored:
             return
@@ -190,12 +246,12 @@ class ElasticRouter:
             env.events_processed += 1
 
     def _has_work(self) -> bool:
-        return any(self._pending) or self._occupancy > 0
+        return self._busy_ports > 0 or self._occupancy > 0
 
     def _boot(self) -> None:
         """First scheduling decision (the old process bootstrap)."""
         if self._has_work():
-            self.env.call_later(self.cycle_time, self._tick)
+            self._next_edge()
         elif self._stored:
             self._stored = False
             self.env.call_later(0.0, self._wake)
@@ -204,12 +260,13 @@ class ElasticRouter:
 
     def _wake(self) -> None:
         self._running = True
-        self.env.call_later(self.cycle_time, self._tick)
+        self._next_edge()
 
     def _tick(self) -> None:
+        self.env.edge_dispatched(self._priority)
         self._step()
         if self._has_work():
-            self.env.call_later(self.cycle_time, self._tick)
+            self._next_edge()
         elif self._stored:
             # Replay a kick stashed while the clock was running: the old
             # machine's get() found the stored item and span one more
@@ -220,6 +277,127 @@ class ElasticRouter:
         else:
             self._running = False
             self._parked = True
+
+    # ------------------------------------------------------------------
+    # Fast-forward
+    # ------------------------------------------------------------------
+    # With no flit buffered and exactly one input port holding pending
+    # flits, every cycle admits that port's next flit and switches it
+    # straight through: nothing can contend.  Such a cycle is *silent*
+    # (no effect outside the router) unless its flit is a tail (``done``
+    # and delivery) or a traced head (the ``er.ingress`` tap).  The clock
+    # then pushes one real edge, at the next cycle that is not silent,
+    # and applies the silent cycles in bulk: when that edge fires, at the
+    # end of each run() (``settle``), or when a send() interrupts the
+    # stream.  Edges carry the router's clock priority, so the real edge
+    # sorts exactly where the per-cycle chain would have put it.
+    def _next_edge(self) -> None:
+        """Schedule the edge after the one at ``now``: the very next
+        cycle, or the first cycle with an outside effect."""
+        env = self.env
+        cycle = self.cycle_time
+        port, silent = self._plan()
+        when = env.now + cycle
+        if not silent:
+            env.call_edge(when, self._priority, self._tick)
+            return
+        # Repeated addition, not ``now + (silent + 1) * cycle``: the
+        # per-cycle chain accumulates its edge times this way, and the
+        # real edge must land on exactly the same float.
+        for _ in range(silent):
+            when += cycle
+        self._ff_port = port
+        self._ff_left = silent
+        self._ff_time = env.now
+        self._ff_gen += 1
+        env.call_edge(when, self._priority, self._ff_wake, self._ff_gen)
+        env.add_lazy_clock(self)
+
+    def _plan(self) -> Tuple[int, int]:
+        """``(port, silent cycles)`` of the stream ahead of the next edge;
+        0 silent cycles means tick every cycle.
+
+        O(1) but for the scan of ``num_ports`` deques that finds the one
+        stream: the silent flits are the rest of the current message up
+        to its tail (none if the next flit is a traced head).
+        """
+        if self._occupancy or self._busy_ports != 1:
+            return -1, 0
+        for port, pending in enumerate(self._pending):
+            if pending:
+                break
+        flit = pending[0][0]
+        message = flit.message
+        if flit.is_head and message.trace is not None:
+            return port, 0
+        return port, (-(-message.length_bytes // self.flit_bytes)
+                      - 1 - flit.index)
+
+    def _ff_wake(self, gen: int) -> None:
+        if gen != self._ff_gen:
+            # Superseded by an interrupt: not a simulated event.
+            self.env.events_processed -= 1
+            return
+        self._apply_silent(self._ff_left)
+        self._stop_ff()
+        self._tick()
+
+    def settle(self) -> None:
+        """Apply the silent cycles whose edges have passed by ``now``."""
+        env = self.env
+        now = env.now
+        cycle = self.cycle_time
+        when = self._ff_time
+        elapsed = 0
+        while elapsed < self._ff_left:
+            edge = when + cycle
+            if edge > now or (edge == now and
+                              not env.edge_passed(self._priority)):
+                break
+            when = edge
+            elapsed += 1
+        if elapsed:
+            self._apply_silent(elapsed)
+            self._ff_time = when
+
+    def _interrupt(self) -> None:
+        """A send() arrived mid-stream: catch up, then tick per cycle
+        from the next edge on (the planned wake becomes a no-op)."""
+        self.settle()
+        self._stop_ff()
+        self._ff_gen += 1
+        self.env.call_edge(self._ff_time + self.cycle_time, self._priority,
+                           self._tick)
+
+    def _stop_ff(self) -> None:
+        self._ff_port = -1
+        self.env.remove_lazy_clock(self)
+
+    def _apply_silent(self, cycles: int) -> None:
+        """Apply ``cycles`` silent cycles exactly as ``_step`` would:
+        each admits the stream's next flit (its credit is taken and
+        returned within the cycle) and switches it to the output."""
+        if not cycles:
+            return
+        port = self._ff_port
+        pending = self._pending[port]
+        flit = pending[0][0]
+        message = flit.message
+        vc = message.vc
+        key = (message.dst_port, vc)
+        if flit.is_head:
+            self._output_locks[key] = (port, vc)
+        popleft = pending.popleft
+        self._reassembly.setdefault(key, []).extend(
+            [popleft()[0] for _ in range(cycles)])
+        self._ff_left -= cycles
+        self._rr[message.dst_port] = port * self.num_vcs + vc + 1
+        stats = self.stats
+        stats.cycles += cycles
+        stats.flits_switched += cycles
+        if stats.peak_buffer_occupancy < 1:
+            stats.peak_buffer_occupancy = 1
+        self.env.events_processed += cycles
 
     def _step(self) -> None:
         """One router cycle: buffer injections, then switch allocation."""
@@ -238,9 +416,12 @@ class ElasticRouter:
             if not pending:
                 continue
             flit, done = pending[0]
-            if self._credits[port].try_acquire(flit.vc):
+            vc = flit.message.vc
+            if self._credits[port].try_acquire(vc):
                 pending.popleft()
-                self._buffers[port][flit.vc].append(flit)
+                if not pending:
+                    self._busy_ports -= 1
+                self._buffers[port][vc].append(flit)
                 self._occupancy += 1
                 if flit.is_head and flit.message.trace is not None:
                     # Pending wait + credit stalls up to buffer entry.
@@ -266,7 +447,7 @@ class ElasticRouter:
                 if not queue:
                     continue
                 flit = queue[0]
-                out_port = flit.dst_port
+                out_port = flit.message.dst_port
                 lock = locks.get((out_port, vc))
                 if (lock is None) if flit.is_head else \
                         (lock == (in_port, vc)):
@@ -283,12 +464,16 @@ class ElasticRouter:
                           if c[0] not in inputs_used]
             if not candidates:
                 continue
-            # Round-robin: rotate candidate order by the per-output pointer.
-            pointer = self._rr[out_port] % (self.num_ports * self.num_vcs)
-            candidates.sort(key=lambda c: (
-                (c[0] * self.num_vcs + c[1] - pointer)
-                % (self.num_ports * self.num_vcs)))
-            in_port, vc = candidates[0]
+            if len(candidates) == 1:
+                in_port, vc = candidates[0]
+            else:
+                # Round-robin: the first candidate at or after the
+                # per-output pointer in (port, vc) order, wrapping.
+                slots = self.num_ports * self.num_vcs
+                pointer = self._rr[out_port] % slots
+                num_vcs = self.num_vcs
+                in_port, vc = min(candidates, key=lambda c: (
+                    (c[0] * num_vcs + c[1] - pointer) % slots))
             self._rr[out_port] = (in_port * self.num_vcs + vc + 1)
             inputs_used.add(in_port)
             self._move_flit(in_port, vc, out_port)

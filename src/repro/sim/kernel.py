@@ -64,6 +64,7 @@ and draw no randomness, so enabling them cannot perturb seeded runs.
 
 from __future__ import annotations
 
+import sys
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Optional, Tuple
 
@@ -85,10 +86,14 @@ __all__ = ["EmptySchedule", "Environment", "NORMAL", "URGENT"]
 
 _INF = float("inf")
 
+#: Priority of the first clock's edges (see
+#: :meth:`Environment.new_clock_priority`): after URGENT and NORMAL.
+_FIRST_CLOCK = 2
 #: Priority of a bounded run's stop sentinel: sorts after every URGENT
-#: and NORMAL event scheduled at the same instant, so a run(until=t)
-#: still processes everything due at exactly ``t`` first.
-_LAST = 2
+#: and NORMAL event and every clock edge scheduled at the same instant,
+#: so a run(until=t) still processes everything due at exactly ``t``
+#: first.
+_LAST = sys.maxsize
 
 
 class _StopRun(BaseException):
@@ -161,6 +166,15 @@ class Environment:
         #: seed-pinned Fig. 10 event count) stays comparable across
         #: kernel generations.
         self.events_processed: int = 0
+        #: Clock priorities handed out so far (new_clock_priority).
+        self._clocks = 0
+        #: (time, priority) of the last clock edge dispatched; the stop
+        #: sentinel counts as the edge after every clock.
+        self._edge_time = -_INF
+        self._edge_prio = 0
+        #: Lazily clocked components currently skipping silent edges,
+        #: settled at the end of every run() (see add_lazy_clock).
+        self._lazy_clocks: dict = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -437,6 +451,58 @@ class Environment:
         self._push(when, NORMAL, Deferred(fn, args))
 
     # ------------------------------------------------------------------
+    # Clocks
+    # ------------------------------------------------------------------
+    # A clock (an Elastic Router's cycle tick) schedules its edges with a
+    # priority of its own, handed out in creation order.  Edges then sort
+    # after every URGENT/NORMAL event at the same instant, and
+    # same-instant edges of different clocks run in creation order, so an
+    # edge's place in the schedule does not depend on when it was pushed.
+    # That lets a clock skip edges that have no effect outside it and
+    # push only the next edge that does: it sorts exactly where the
+    # per-cycle chain would have put it.
+    def new_clock_priority(self) -> int:
+        """Priority for a new clock's edges: ``2 + creation index``."""
+        priority = _FIRST_CLOCK + self._clocks
+        self._clocks += 1
+        return priority
+
+    def call_edge(self, when: float, priority: int,
+                  fn: Callable[..., None], *args: Any) -> None:
+        """Schedule clock edge ``fn(*args)`` at ``when`` with the clock's
+        ``priority`` (from :meth:`new_clock_priority`)."""
+        self._push(when, priority, Deferred(fn, args))
+
+    def edge_dispatched(self, priority: int) -> None:
+        """Record that the clock with ``priority`` runs an edge now."""
+        self._edge_time = self._now
+        self._edge_prio = priority
+
+    def edge_passed(self, priority: int) -> bool:
+        """Whether an edge at ``(now, priority)`` would already have been
+        dispatched, had it been scheduled.
+
+        Clock edges at one instant run in priority order after every
+        URGENT/NORMAL event due before them, so the answer is yes iff a
+        clock edge with a larger priority (or the stop sentinel) already
+        ran at this instant.
+        """
+        return self._edge_time == self._now and self._edge_prio > priority
+
+    def add_lazy_clock(self, clock: Any) -> None:
+        """Register a clock that is skipping silent edges.  Its
+        ``settle()`` runs at the end of every :meth:`run`, so counters
+        read between runs equal the per-edge values."""
+        self._lazy_clocks[clock] = None
+
+    def remove_lazy_clock(self, clock: Any) -> None:
+        del self._lazy_clocks[clock]
+
+    def _settle_clocks(self) -> None:
+        for clock in list(self._lazy_clocks):
+            clock.settle()
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -506,6 +572,8 @@ class Environment:
                     raise SimulationError(
                         "simulation ended before the awaited event triggered"
                     ) from None
+            if self._lazy_clocks:
+                self._settle_clocks()
             if stop_event._ok:
                 return stop_event._value
             stop_event._defused = True
@@ -523,6 +591,10 @@ class Environment:
                 self.step()
             if stop_time != _INF:
                 self._now = stop_time
+                self._edge_time = stop_time
+                self._edge_prio = _LAST
+            if self._lazy_clocks:
+                self._settle_clocks()
             return None
 
         # Tight loop: inline step() with all hot names bound locally.
@@ -665,9 +737,13 @@ class Environment:
                 self._ssize + (self._head is not None) - size0)
         if stop_time != _INF:
             self._now = stop_time
+        if self._lazy_clocks:
+            self._settle_clocks()
         return None
 
     def _raise_stop(self, token: object) -> None:
         """Dispatch target of the bounded-run stop sentinel."""
         if token is self._stop_token:
+            self._edge_time = self._now
+            self._edge_prio = _LAST
             raise _StopRun

@@ -116,6 +116,55 @@ class TestCallAtCallLaterInterleaving:
         assert run("calendar") == run("heapq")
 
 
+class TestClockEdges:
+    """Clock edges order by clock priority, not by when they were
+    pushed: after every URGENT/NORMAL event at their instant, in clock
+    creation order, and before a bounded run's stop sentinel."""
+
+    def test_edges_after_normal_in_creation_order(self):
+        for scheduler in ("calendar", "heapq"):
+            env = Environment(scheduler=scheduler)
+            first, second = env.new_clock_priority(), \
+                env.new_clock_priority()
+            assert (first, second) == (2, 3)
+            order = []
+            env.call_edge(1e-6, second, order.append, "edge-second")
+            env.call_edge(1e-6, first, order.append, "edge-first")
+            env.call_later(1e-6, order.append, "normal")
+            env.schedule(Event(env), URGENT, delay=1e-6)
+            env.run()
+            assert order == ["normal", "edge-first", "edge-second"]
+
+    def test_bounded_run_processes_edges_at_its_horizon(self):
+        env = Environment()
+        priority = env.new_clock_priority()
+        order = []
+        env.call_edge(1e-6, priority, order.append, "edge")
+        env.run(until=1e-6)
+        assert order == ["edge"]
+        # The stop sentinel counts as the last edge of its instant.
+        assert env.edge_passed(priority)
+
+    def test_edge_passed_tracks_the_last_dispatched_edge(self):
+        env = Environment()
+        low, high = env.new_clock_priority(), env.new_clock_priority()
+        seen = []
+
+        def at_edge():
+            env.edge_dispatched(high)
+            env.call_later(0.0, lambda: seen.append(
+                (env.edge_passed(low), env.edge_passed(high))))
+
+        env.call_later(1e-6, lambda: seen.append(
+            (env.edge_passed(low), env.edge_passed(high))))
+        env.call_edge(1e-6, high, at_edge)
+        env.run()
+        # Before the edge at 1 us nothing has passed; after the edge of
+        # the higher-priority clock the lower one's edge has, even for
+        # a NORMAL event pushed at the same instant.
+        assert seen == [(False, False), (True, False)]
+
+
 class TestFig10Digest:
     @staticmethod
     def _digest(scheduler):
