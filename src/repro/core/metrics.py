@@ -10,8 +10,8 @@ estimator for soaks too long to retain every sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.randomness import percentile
 
@@ -27,8 +27,7 @@ class StreamingQuantile:
     floats.
     """
 
-    __slots__ = ("q", "_n", "_heights", "_positions", "_desired", "_rate",
-                 "_frozen")
+    __slots__ = ("q", "_n", "_heights", "_positions", "_desired", "_rate")
 
     def __init__(self, q: float):
         if not 0 < q < 100:
@@ -40,21 +39,10 @@ class StreamingQuantile:
         self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
         self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
         self._rate = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        #: Constituent digests folded in via :meth:`merge`, each a
-        #: ``(count, heights, positions)`` snapshot.  Kept verbatim
-        #: rather than collapsed into the live markers: repeatedly
-        #: re-summarizing to five markers compounds tail error at every
-        #: fold (~ratcheting p99 upward by tens of percent over a few
-        #: dozen shard merges), whereas querying the flat combination
-        #: stays within a few percent.  Memory is 3 machine words + 10
-        #: floats per merged digest — negligible at any realistic shard
-        #: or hop count.
-        self._frozen: List[Tuple[int, Tuple[float, ...],
-                                 Tuple[float, ...]]] = []
 
     @property
     def count(self) -> int:
-        return self._n + sum(f[0] for f in self._frozen)
+        return self._n
 
     def record(self, x: float) -> None:
         self._n += 1
@@ -107,132 +95,15 @@ class StreamingQuantile:
         j = i + int(step)
         return h[i] + step * (h[j] - h[i]) / (pos[j] - pos[i])
 
-    @staticmethod
-    def _marker_points(heights: Sequence[float],
-                       positions: Sequence[float],
-                       n: int) -> List[Tuple[float, float]]:
-        """An activated digest as five weighted points.
-
-        Marker ``j`` represents the samples between its neighbors: half
-        of each adjacent position gap, plus half a sample of its own at
-        the extremes.  The weights sum to exactly ``n`` (gap total is
-        ``positions[4] - positions[0] = n - 1``).
-        """
-        w = [0.0] * 5
-        for j in range(4):
-            gap = positions[j + 1] - positions[j]
-            w[j] += gap / 2.0
-            w[j + 1] += gap / 2.0
-        w[0] += 0.5
-        w[4] += 0.5
-        return list(zip(heights, w))
-
-    def _points(self) -> List[Tuple[float, float]]:
-        """Live + frozen digests as one weighted point set."""
-        if len(self._heights) < 5:
-            pts = [(x, 1.0) for x in self._heights]
-        else:
-            pts = self._marker_points(self._heights, self._positions,
-                                      self._n)
-        for n, heights, positions in self._frozen:
-            pts.extend(self._marker_points(heights, positions, n))
-        return pts
-
     @property
     def value(self) -> float:
         """Current quantile estimate."""
-        if self._n == 0 and not self._frozen:
+        if self._n == 0:
             raise ValueError("no samples")
-        if not self._frozen:
-            if len(self._heights) < 5:
-                # Too few samples for P²: exact percentile fallback.
-                return percentile(sorted(self._heights), self.q)
-            return self._heights[2]
-        # Merged digest: weighted order statistic over the flat
-        # combination of all constituents.
-        pts = sorted(self._points())
-        target = (self.q / 100.0) * sum(w for _, w in pts)
-        acc = 0.0
-        for x, w in pts:
-            acc += w
-            if acc >= target:
-                return x
-        return pts[-1][0]
-
-    @property
-    def minimum(self) -> float:
-        """Smallest sample represented (exact across merges)."""
-        if self._n == 0 and not self._frozen:
-            raise ValueError("no samples")
-        lows = [f[1][0] for f in self._frozen]
-        if self._heights:
-            lows.append(min(self._heights) if len(self._heights) < 5
-                        else self._heights[0])
-        return min(lows)
-
-    @property
-    def maximum(self) -> float:
-        """Largest sample represented (exact across merges)."""
-        if self._n == 0 and not self._frozen:
-            raise ValueError("no samples")
-        highs = [f[1][4] for f in self._frozen]
-        if self._heights:
-            highs.append(max(self._heights) if len(self._heights) < 5
-                         else self._heights[4])
-        return max(highs)
-
-    def merge(self, other: "StreamingQuantile") -> "StreamingQuantile":
-        """Fold ``other``'s digest into this one (same ``q`` required).
-
-        Needed wherever independently collected digests must combine:
-        per-hop trace digests from overlay shards, or per-process metric
-        merging from the shard driver (ROADMAP item 1).  P² has no exact
-        merge — the marker heights are an estimate, not a sketch with a
-        closure property — so merged-in digests are *retained as frozen
-        constituents* and queries answer from the flat weighted
-        combination (see ``_frozen``).  The previous approach collapsed
-        the pair into five markers per merge by count-weighted height
-        averaging; besides compounding error at every fold, it was
-        outright wrong for barely activated digests, whose markers sit
-        at positions ``1..5`` (raw sorted samples, not canonical
-        quantile estimates) — folding many small shard digests dragged
-        p99 toward the median by ~2x.  A digest still in its
-        initialization phase (< 5 samples) holds raw samples, which are
-        simply replayed — exact, no constituent needed.  ``other`` is
-        snapshotted: mutating it afterwards does not affect ``self``.
-        Accuracy is validated against exact percentiles in
-        ``tests/core/test_streaming_merge.py`` and
-        ``tests/property/test_streaming_merge_properties.py``.
-        """
-        if other.q != self.q:
-            raise ValueError(
-                f"cannot merge digests for different quantiles "
-                f"({self.q} vs {other.q})")
-        if other._n == 0 and not other._frozen:
-            return self
-        if len(other._heights) < 5:
-            # other's live digest is still initializing: its heights ARE
-            # its samples.  (A digest with frozen constituents always
-            # has an activated live part, so this is the whole of it.)
-            for x in other._heights:
-                self.record(x)
-            return self
-        if len(self._heights) < 5 and not self._frozen:
-            # self is still initializing: adopt other's digest wholesale,
-            # then replay our raw samples into it.
-            mine = list(self._heights)
-            self._n = other._n
-            self._heights = list(other._heights)
-            self._positions = list(other._positions)
-            self._desired = list(other._desired)
-            self._frozen = list(other._frozen)
-            for x in mine:
-                self.record(x)
-            return self
-        self._frozen.append(
-            (other._n, tuple(other._heights), tuple(other._positions)))
-        self._frozen.extend(other._frozen)
-        return self
+        if len(self._heights) < 5:
+            # Too few samples for P²: exact percentile fallback.
+            return percentile(sorted(self._heights), self.q)
+        return self._heights[2]
 
 
 #: Quantiles a streaming recorder tracks (matching ``summary()``'s keys).
@@ -283,31 +154,6 @@ class LatencyRecorder:
     def extend(self, values: Iterable[float]) -> None:
         for value in values:
             self.record(value)
-
-    def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        """Fold another recorder's samples/digests into this one.
-
-        Exact recorders concatenate samples (still exact).  Streaming
-        recorders merge their P² digests via
-        :meth:`StreamingQuantile.merge` (approximate).  Modes must
-        match — merging an exact recorder into a streaming one would
-        silently change the accuracy contract mid-object.
-        """
-        if self.streaming != other.streaming:
-            raise ValueError("cannot merge exact and streaming recorders")
-        if other._count == 0:
-            return self
-        self._count += other._count
-        self._sum += other._sum
-        if other._max > self._max:
-            self._max = other._max
-        if self.streaming:
-            for q, estimator in self._estimators.items():
-                estimator.merge(other._estimators[q])
-        else:
-            self.samples.extend(other.samples)
-            self._sorted = None
-        return self
 
     # ------------------------------------------------------------------
     # Queries

@@ -45,7 +45,7 @@ LTL_HEADER_BYTES = struct.calcsize(_HEADER_FMT)
 # the header remains the *simulated* wire size, which for opaque
 # payloads differs from the encoded length.
 _ENC_RAW = 0      # payload is bytes: carried verbatim
-_ENC_PICKLE = 1   # opaque payload object: pickled for the shard seam
+_ENC_PICKLE = 1   # opaque payload object: pickled
 _TRAILER_FMT = "!BI"
 _TRAILER_BYTES = struct.calcsize(_TRAILER_FMT)
 
@@ -166,10 +166,9 @@ class LtlFrame:
 
         Bytes payloads are carried verbatim.  Opaque payload objects
         (DNN requests, shell messages) are pickled so a frame can cross
-        a process boundary — the shard driver ships boundary frames
-        between shard workers in this form.  ``trace`` is simulation
-        metadata and is intentionally dropped (per-hop attribution does
-        not follow a frame across the shard seam).
+        a process boundary.  ``trace`` is simulation metadata and is
+        intentionally dropped (per-hop attribution does not follow a
+        frame out of the simulation).
         """
         if isinstance(self.payload, (bytes, bytearray)):
             enc, blob = _ENC_RAW, bytes(self.payload)

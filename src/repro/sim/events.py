@@ -1,7 +1,7 @@
 """Event primitives for the discrete-event simulation kernel.
 
 The kernel (:mod:`repro.sim.kernel`) advances virtual time by popping the
-earliest scheduled :class:`Event` from its calendar queue and running its
+earliest scheduled :class:`Event` from its heap and running its
 callbacks.  Processes — Python generators that ``yield`` events — are
 resumed whenever the event they are waiting on succeeds or fails.
 
@@ -17,7 +17,7 @@ implementation trades a little elegance for constant-factor speed:
 
 * every event class uses ``__slots__`` (no per-event ``__dict__``),
 * trigger paths call ``env._push(time, priority, event)`` — the kernel's
-  raw calendar-queue insert — instead of going through
+  raw heap insert — instead of going through
   ``Environment.schedule``,
 * :class:`Deferred` is a two-slot pseudo-event carrying a bare callback for
   one-shot "run ``fn(*args)`` after ``delay``" work, so subsystems don't

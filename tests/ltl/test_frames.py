@@ -79,7 +79,7 @@ class TestHeaderSerialization:
 
 
 class TestFullWireSerialization:
-    """``to_wire``/``from_wire``: what the shard seam actually ships."""
+    """``to_wire``/``from_wire``: the whole frame as bytes."""
 
     def test_bytes_payload_roundtrip(self):
         frame = make_data_frame(connection_id=7, seq=99, message_id=3,

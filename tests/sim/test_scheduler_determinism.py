@@ -1,19 +1,22 @@
-"""Determinism guarantees of the calendar-queue scheduler.
+"""Determinism guarantees of the event schedule.
 
-The kernel orders every entry by ``(time, priority, seq)`` no matter
-which layer (head slot, calendar bucket, overflow heap) it lands in.
-These tests pin the observable contract: same-instant FIFO, URGENT
-before NORMAL, ``call_at``/``call_later`` interleaving, and — the
-integration-level check — a bit-identical Fig. 10 digest whether the
-calendar queue or the pure-heapq fallback runs the simulation.
+The kernel orders every entry by ``(time, priority, seq)``.  These tests
+pin the observable contract as literals: same-instant FIFO, URGENT
+before NORMAL, ``call_at``/``call_later`` interleaving, clock-edge
+order, and — the integration-level check — the Fig. 10 digest and
+event count recorded before the schedule became a single heap.
 """
 
 import hashlib
+import importlib
+from pathlib import Path
 
 from repro.core.cloud import ConfigurableCloud
 from repro.experiments.fig10 import DEFAULT_TIER_PAIRS
 from repro.sim import Environment
 from repro.sim.events import NORMAL, URGENT, Event
+
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 class TestSameInstantFifo:
@@ -25,34 +28,25 @@ class TestSameInstantFifo:
         env.run()
         assert order == list(range(50))
 
-    def test_fifo_across_layers(self):
-        """FIFO holds even when same-instant entries straddle the head
-        slot, a calendar bucket and the overflow heap."""
-        env = Environment(bucket_width=4e-6, horizon=512e-6)
+    def test_fifo_across_clock_advance(self):
+        """Entries for one instant stay FIFO when some are pushed long
+        before it is due and others after the clock moved closer."""
+        env = Environment()
         order = []
-        when = 1e-3  # beyond the horizon: first entries overflow
+        when = 1e-3
         for i in range(10):
             env.call_at(when, order.append, i)
-        # Drag *now* forward so the same instant is now bucketable and
-        # later entries take the calendar/head path instead.
         env.call_later(when / 2, lambda: None)
+        env.run(until=when / 2)
         for i in range(10, 20):
             env.call_at(when, order.append, i)
         env.run()
         assert order == list(range(20))
 
-    def test_fifo_under_heapq_fallback(self):
-        env = Environment(scheduler="heapq")
-        order = []
-        for i in range(50):
-            env.call_later(1e-6, order.append, i)
-        env.run()
-        assert order == list(range(50))
-
 
 class TestPriorities:
-    def _run_with_priorities(self, **env_kwargs):
-        env = Environment(**env_kwargs)
+    def test_urgent_before_normal_same_instant(self):
+        env = Environment()
         order = []
 
         def make(tag):
@@ -68,52 +62,38 @@ class TestPriorities:
         env.schedule(make("normal-1"), NORMAL, delay=1e-6)
         env.schedule(make("urgent-1"), URGENT, delay=1e-6)
         env.run()
-        return order
-
-    def test_urgent_before_normal_same_instant(self):
-        assert self._run_with_priorities() == [
-            "urgent-0", "urgent-1", "normal-0", "normal-1"]
-
-    def test_urgent_before_normal_heapq(self):
-        assert self._run_with_priorities(scheduler="heapq") == [
-            "urgent-0", "urgent-1", "normal-0", "normal-1"]
+        assert order == ["urgent-0", "urgent-1", "normal-0", "normal-1"]
 
 
 class TestCallAtCallLaterInterleaving:
-    def _interleave(self, **env_kwargs):
-        env = Environment(**env_kwargs)
+    def test_interleaved_global_order(self):
+        env = Environment()
         order = []
         # Mixed absolute/relative scheduling landing on shared instants,
-        # inserted out of time order, spanning bucket and overflow ranges.
+        # inserted out of time order, microseconds to milliseconds out.
         env.call_at(3e-6, order.append, "at-3us")
         env.call_later(1e-6, order.append, "later-1us")
         env.call_at(1e-6, order.append, "at-1us")       # ties later-1us
         env.call_later(3e-6, order.append, "later-3us")  # ties at-3us
-        env.call_at(2e-3, order.append, "at-2ms")        # overflow range
+        env.call_at(2e-3, order.append, "at-2ms")
         env.call_later(0.0, order.append, "later-0")
         env.call_later(2e-3, order.append, "later-2ms")  # ties at-2ms
         env.run()
-        return order
+        assert order == ["later-0", "later-1us", "at-1us", "at-3us",
+                         "later-3us", "at-2ms", "later-2ms"]
 
-    def test_interleaved_global_order(self):
-        expected = ["later-0", "later-1us", "at-1us", "at-3us",
-                    "later-3us", "at-2ms", "later-2ms"]
-        assert self._interleave() == expected
-        assert self._interleave(scheduler="heapq") == expected
-
-    def test_calendar_matches_heapq_on_dense_schedule(self):
-        def run(scheduler):
-            env = Environment(scheduler=scheduler)
-            order = []
-            # Deterministic pseudo-random delays via integer hashing —
-            # dense ties plus a spread wider than the calendar horizon.
-            for i in range(400):
-                delay = ((i * 2654435761) % 1024) * 1e-6
-                env.call_later(delay, order.append, (i, round(delay, 9)))
-            env.run()
-            return order
-
-        assert run("calendar") == run("heapq")
+    def test_dense_schedule_order(self):
+        env = Environment()
+        order = []
+        pushed = []
+        # Deterministic pseudo-random delays via integer hashing: dense
+        # ties over a 1 ms spread.
+        for i in range(400):
+            delay = ((i * 2654435761) % 1024) * 1e-6
+            env.call_later(delay, order.append, i)
+            pushed.append((delay, i))
+        env.run()
+        assert order == [i for _delay, i in sorted(pushed)]
 
 
 class TestClockEdges:
@@ -122,18 +102,16 @@ class TestClockEdges:
     creation order, and before a bounded run's stop sentinel."""
 
     def test_edges_after_normal_in_creation_order(self):
-        for scheduler in ("calendar", "heapq"):
-            env = Environment(scheduler=scheduler)
-            first, second = env.new_clock_priority(), \
-                env.new_clock_priority()
-            assert (first, second) == (2, 3)
-            order = []
-            env.call_edge(1e-6, second, order.append, "edge-second")
-            env.call_edge(1e-6, first, order.append, "edge-first")
-            env.call_later(1e-6, order.append, "normal")
-            env.schedule(Event(env), URGENT, delay=1e-6)
-            env.run()
-            assert order == ["normal", "edge-first", "edge-second"]
+        env = Environment()
+        first, second = env.new_clock_priority(), env.new_clock_priority()
+        assert (first, second) == (2, 3)
+        order = []
+        env.call_edge(1e-6, second, order.append, "edge-second")
+        env.call_edge(1e-6, first, order.append, "edge-first")
+        env.call_later(1e-6, order.append, "normal")
+        env.schedule(Event(env), URGENT, delay=1e-6)
+        env.run()
+        assert order == ["normal", "edge-first", "edge-second"]
 
     def test_bounded_run_processes_edges_at_its_horizon(self):
         env = Environment()
@@ -166,9 +144,15 @@ class TestClockEdges:
 
 
 class TestFig10Digest:
-    @staticmethod
-    def _digest(scheduler):
-        env = Environment(scheduler=scheduler)
+    #: SHA-256 of every RTT sample, the event count and the final clock
+    #: of the seed-10 Fig. 10 sweep below.
+    DIGEST = ("3b1e032b9e8daf2e77acc623880ecef6"
+              "e36ba3e5149d7d512be64480c3d3f9d8")
+
+    def test_fig10_digest_pinned(self):
+        """The paper-headline workload reproduces to the bit: every RTT
+        sample, the event count and the final clock."""
+        env = Environment()
         cloud = ConfigurableCloud(env=env, seed=10)
         samples = []
         for _tier, (_reach, pairs) in DEFAULT_TIER_PAIRS.items():
@@ -178,11 +162,13 @@ class TestFig10Digest:
                         cloud.add_server(host, enroll=False)
                 samples.extend(
                     cloud.measure_ltl_rtt(src, dst, messages=8))
+        assert env.events_processed == 7584
         payload = repr((samples, env.events_processed, env.now))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGEST
 
-    def test_fig10_bit_identical_calendar_vs_heapq(self):
-        """The paper-headline workload must not care which scheduler
-        backend ran it: every RTT sample, the event count and the final
-        clock must agree to the bit."""
-        assert self._digest("calendar") == self._digest("heapq")
+    def test_bench_core_speed_fig10_event_count(self, monkeypatch):
+        """``bench_core_speed.py`` reports ``fig10_events = 56152`` for
+        its full run (60 messages per pair, seed 10)."""
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        bench = importlib.import_module("bench_core_speed")
+        assert bench.bench_fig10(60)["events"] == 56152

@@ -1,8 +1,7 @@
 """Windowed stepping must be exactly equivalent to one long run.
 
-The shard driver advances every shard with repeated bounded
-``run(until=window_end)`` calls.  These tests pin the contract that made
-that safe:
+Code that advances a simulation in repeated bounded
+``run(until=window_end)`` calls relies on this contract:
 
 * N bounded runs over exact window boundaries produce bit-identical
   state (events processed, clock, schedule length, observable event
@@ -11,8 +10,8 @@ that safe:
   window (the stop sentinel sorts after every same-instant URGENT and
   NORMAL event);
 * a run terminated by an exception removes its own stop sentinel —
-  the regression fixed here left a phantom entry in the calendar queue
-  that corrupted ``len``/``peek`` and the next run's event accounting.
+  the regression fixed here left a phantom entry in the schedule that
+  corrupted ``len``/``peek`` and the next run's event accounting.
 """
 
 import pytest
@@ -33,14 +32,9 @@ def _exact_boundaries(horizon, windows):
     return bounds
 
 
-def _kernel_digest(windows, scheduler="calendar", wrap_step=False):
+def _kernel_digest(windows):
     """Run a same-instant-heavy workload windowed; digest all state."""
-    env = Environment(scheduler=scheduler)
-    if wrap_step:
-        # Mimic Tracer: an instance-level step wrapper forces run() off
-        # the inlined fast path onto the step()-per-event fallback.
-        inner = env.step
-        env.step = lambda: inner()
+    env = Environment()
     log = []
 
     def ticker(env, tag, period):
@@ -75,19 +69,6 @@ class TestWindowedEquivalence:
     @pytest.mark.parametrize("windows", [2, 7, 50, 200, 400])
     def test_windowed_matches_one_shot(self, windows):
         assert _kernel_digest(windows) == _kernel_digest(None)
-
-    @pytest.mark.parametrize("windows", [2, 50, 400])
-    def test_windowed_matches_one_shot_heapq(self, windows):
-        one = _kernel_digest(None, scheduler="heapq")
-        many = _kernel_digest(windows, scheduler="heapq")
-        assert many == one
-        # Scheduler backends agree with each other too.
-        assert one == _kernel_digest(None)
-
-    @pytest.mark.parametrize("windows", [2, 50])
-    def test_windowed_matches_one_shot_wrapped_step(self, windows):
-        one = _kernel_digest(None, wrap_step=True)
-        assert _kernel_digest(windows, wrap_step=True) == one
 
     def test_zero_width_windows_are_noops(self):
         env = Environment()
@@ -156,8 +137,8 @@ DT = 2.0 ** -20
 
 
 class TestStopSentinelCleanup:
-    def _env_with_bomb(self, scheduler="calendar"):
-        env = Environment(scheduler=scheduler)
+    def _env_with_bomb(self):
+        env = Environment()
 
         def boom(env):
             yield env.timeout(5 * DT)
@@ -171,9 +152,8 @@ class TestStopSentinelCleanup:
         env.process(drip(env))
         return env
 
-    @pytest.mark.parametrize("scheduler", ["calendar", "heapq"])
-    def test_exception_leaves_no_sentinel(self, scheduler):
-        env = self._env_with_bomb(scheduler)
+    def test_exception_leaves_no_sentinel(self):
+        env = self._env_with_bomb()
         with pytest.raises(RuntimeError):
             env.run(until=100 * DT)
         # The drip process is still scheduled; the sentinel must not be.
@@ -191,12 +171,12 @@ class TestStopSentinelCleanup:
         # drip fires at 6..100 DT inclusive: 95 events, nothing more.
         assert env.events_processed - processed == 95
 
-    def test_exception_far_before_horizon_overflow_sentinel(self):
-        """Sentinel beyond the calendar horizon lives in the overflow
-        heap; removal must find it there."""
+    def test_exception_far_before_horizon(self):
+        """A sentinel far behind the other entries is still found and
+        removed when the run fails early."""
         env = self._env_with_bomb()
         with pytest.raises(RuntimeError):
-            env.run(until=10.0)  # far past the 512us calendar horizon
+            env.run(until=10.0)
         assert len(env) == 1
         assert env.peek() == 6 * DT
         env.run(until=64 * DT)
@@ -212,7 +192,7 @@ class TestStopSentinelCleanup:
         env.process(boom(env))
         with pytest.raises(RuntimeError):
             env.run(until=100e-6)
-        # Nothing else scheduled: the sentinel sat in the head slot.
+        # Nothing else scheduled: the sentinel was the heap's top.
         assert len(env) == 0
         assert env.peek() == float("inf")
         ep = env.events_processed
