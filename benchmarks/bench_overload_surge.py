@@ -66,10 +66,8 @@ SURGE_MULTIPLIER = 5.0
 # Experiments
 # ----------------------------------------------------------------------
 def surge_config(protected: bool) -> RankingServiceConfig:
-    overload = OverloadConfig() if protected else OverloadConfig(
-        admission_enabled=False, deadline_enforcement=False)
     return RankingServiceConfig(mode=AccelerationMode.LOCAL_FPGA,
-                                overload=overload)
+                                overload=OverloadConfig(protected=protected))
 
 
 def run_surge_pair(seed: int = 0) -> Dict[str, float]:

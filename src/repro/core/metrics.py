@@ -2,16 +2,17 @@
 
 The measurement harness has to stay cheap relative to the modeled path:
 microsecond-scale RPC claims can't be reproduced if the recorder itself
-dominates the profile.  :class:`LatencyRecorder` therefore keeps a cached
-sorted view (one sort per burst of queries, instead of one sort *per
-percentile*), and :class:`StreamingQuantile` offers a constant-memory P²
-estimator for soaks too long to retain every sample.
+dominates the profile.  :class:`LatencyRecorder` therefore retains every
+sample and keeps a cached sorted view (one sort per burst of queries,
+instead of one sort *per percentile*).  :class:`StreamingQuantile` is a
+constant-memory P² estimator for one quantile; the trace recorder and
+the hedge controller use it where retaining samples is too expensive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..sim.randomness import percentile
 
@@ -106,36 +107,21 @@ class StreamingQuantile:
         return self._heights[2]
 
 
-#: Quantiles a streaming recorder tracks (matching ``summary()``'s keys).
-STREAMING_QUANTILES: Tuple[float, ...] = (50.0, 95.0, 99.0, 99.9)
-
-
 class LatencyRecorder:
     """Collects latency samples; answers percentile/mean queries.
 
-    Exact mode (default) retains every sample and serves all queries from
-    a cached sorted view — the sort happens once per burst of queries, not
-    once per percentile, so ``summary()`` costs a single sort.
-
-    Streaming mode (``streaming=True``) keeps O(1) memory: count, mean,
-    max and P² estimators for the quantiles in
-    :data:`STREAMING_QUANTILES`.  Use it for soaks where retaining every
-    sample is too expensive; percentiles other than the tracked set are
-    unavailable.
+    Retains every sample and serves all queries from a cached sorted
+    view — the sort happens once per burst of queries, not once per
+    percentile, so ``summary()`` costs a single sort.
     """
 
-    def __init__(self, name: str = "latency", streaming: bool = False):
+    def __init__(self, name: str = "latency"):
         self.name = name
-        self.streaming = streaming
         self.samples: List[float] = []
         self._sorted: Optional[List[float]] = None
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
-        self._estimators: Dict[float, StreamingQuantile] = {}
-        if streaming:
-            self._estimators = {
-                q: StreamingQuantile(q) for q in STREAMING_QUANTILES}
 
     def record(self, value: float) -> None:
         if value < 0:
@@ -144,12 +130,8 @@ class LatencyRecorder:
         self._sum += value
         if value > self._max:
             self._max = value
-        if self.streaming:
-            for estimator in self._estimators.values():
-                estimator.record(value)
-        else:
-            self.samples.append(value)
-            self._sorted = None
+        self.samples.append(value)
+        self._sorted = None
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:
@@ -177,13 +159,6 @@ class LatencyRecorder:
     def percentile(self, q: float) -> float:
         if self._count == 0:
             raise ValueError("no samples")
-        if self.streaming:
-            estimator = self._estimators.get(float(q))
-            if estimator is None:
-                raise ValueError(
-                    f"streaming recorder tracks only {STREAMING_QUANTILES}; "
-                    f"q={q} unavailable")
-            return estimator.value
         return percentile(self._view(), q)
 
     @property
@@ -323,12 +298,6 @@ class SloTracker:
         if elapsed <= 0:
             return 0.0
         return self.good / elapsed
-
-    def goodput_fraction(self) -> float:
-        """Good completions as a fraction of offered load."""
-        if self.offered == 0:
-            return 0.0
-        return self.good / self.offered
 
     def snapshot(self) -> Dict[str, int]:
         """Running counters, for phase diffing in benchmarks."""

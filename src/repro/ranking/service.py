@@ -30,8 +30,6 @@ from ..overload import (
     AdmissionController,
     Deadline,
     DeadlineStats,
-    HedgeConfig,
-    HedgeController,
     ServiceLevel,
 )
 from ..sim import Environment, Resource
@@ -53,13 +51,11 @@ class RemoteAccessConfig:
     round_trip: float = 2.9e-6           # same-TOR pool locality
     ltl_bandwidth_bps: float = 38e9      # LTL goodput on the 40G port
     per_message_overhead: float = 2.0e-6  # ER + packetization both ends
-    #: Tail variability of the remote hop: with this probability a
-    #: request lands on a momentarily slow pool FPGA (limplocked peer,
-    #: SEU scrub pass, contended DRAM) and takes ``slow_factor`` times
-    #: the nominal service time.  Default 0 = the classic deterministic
-    #: model; hedging only matters when a tail exists.
-    slow_probability: float = 0.0
-    slow_factor: float = 1.0
+
+    def network_time(self, nbytes: int) -> float:
+        """Round trip plus serialization of ``nbytes`` over LTL."""
+        return (self.round_trip + nbytes * 8 / self.ltl_bandwidth_bps
+                + self.per_message_overhead)
 
 
 @dataclass
@@ -69,10 +65,9 @@ class OverloadConfig:
     Attach to :class:`RankingServiceConfig` to enable; ``None`` (the
     default) preserves the classic unprotected behavior exactly.
 
-    ``admission_enabled`` / ``deadline_enforcement`` exist so the
-    *unprotected* baseline in overload experiments can still stamp
-    deadlines and account SLO misses (apples-to-apples goodput) while
-    actually shedding or dropping nothing.
+    ``protected=False`` is the *unprotected* baseline of overload
+    experiments: it still stamps deadlines and accounts SLO misses
+    (apples-to-apples goodput) but sheds, degrades and drops nothing.
     """
 
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
@@ -80,12 +75,9 @@ class OverloadConfig:
     default_budget: float = 8e-3
     #: Candidate-set fraction kept at the DEGRADED rung.
     degraded_fraction: float = 0.25
-    #: Hedged remote requests (remote mode only); ``None`` disables.
-    hedge: Optional[HedgeConfig] = None
-    #: Master switch for the shed/degrade ladder.
-    admission_enabled: bool = True
-    #: Master switch for dropping expired work mid-path.
-    deadline_enforcement: bool = True
+    #: Master switch for the shed/degrade ladder and for dropping
+    #: expired work mid-path.
+    protected: bool = True
     #: Cost of a fast rejection (error serialization, connection reset).
     reject_latency: float = 10e-6
 
@@ -128,7 +120,6 @@ class RankingServer:
         # Overload protection (None unless configured).
         ov = config.overload
         self.admission: Optional[AdmissionController] = None
-        self.hedge: Optional[HedgeController] = None
         self.slo: Optional[SloTracker] = None
         self.deadline_stats = DeadlineStats()
         self.degraded_queries = 0
@@ -137,8 +128,6 @@ class RankingServer:
             self.admission = AdmissionController(ov.admission,
                                                  start_time=env.now)
             self.slo = SloTracker()
-            if ov.hedge is not None:
-                self.hedge = HedgeController(ov.hedge)
         #: EWMA of per-grant core hold time, seeding the door-side
         #: queue-delay prediction before any query has been measured.
         self._core_hold_ewma = config.software.pre_seconds
@@ -193,53 +182,12 @@ class RankingServer:
         return self._remote_base_time(work)
 
     def _remote_base_time(self, work: QueryWork) -> float:
-        remote = self.config.remote
-        network = (remote.round_trip
-                   + work.document_bytes * 8 / remote.ltl_bandwidth_bps
-                   + remote.per_message_overhead)
-        return network + self.role.compute_time(work)
-
-    def _remote_sample(self, work: QueryWork) -> float:
-        """One draw of the remote hop, including the slow-peer tail."""
-        remote = self.config.remote
-        base = self._remote_base_time(work)
-        if remote.slow_probability > 0.0 and \
-                self.rng.random() < remote.slow_probability:
-            return base * remote.slow_factor
-        return base
-
-    def _remote_feature_time(self, work: QueryWork) -> float:
-        """Remote feature extraction, hedged when configured.
-
-        Hedging is modeled at the latency level: the primary and hedge
-        are independent draws (different pool FPGAs), the hedge starts
-        after the P95-derived delay, and the faster leg wins.  The
-        duplicated backend load is bounded by the hedge budget — the
-        controller refuses hedges past ``budget_fraction`` of primaries.
-        """
-        if self.config.mode is not AccelerationMode.REMOTE_FPGA:
-            return self.feature_stage_time(work)
-        primary = self._remote_sample(work)
-        hc = self.hedge
-        if hc is None:
-            return primary
-        hc.on_primary()
-        effective = primary
-        delay = hc.hedge_delay()
-        if delay is not None and primary > delay and hc.try_acquire_hedge():
-            hedged = delay + self._remote_sample(work)
-            if hedged < primary:
-                effective = hedged
-                hc.on_win(True)
-            else:
-                hc.on_win(False)
-        hc.observe(effective)
-        return effective
+        return (self.config.remote.network_time(work.document_bytes)
+                + self.role.compute_time(work))
 
     def _expire(self, stage: Stage) -> None:
         self.deadline_stats.drop(stage)
-        if self.slo is not None:
-            self.slo.expire()
+        self.slo.expire()
 
     def handle_query(self, work: Optional[QueryWork] = None):
         """Process: one query through pre -> features -> post.
@@ -261,92 +209,69 @@ class RankingServer:
             if deadline is None:
                 deadline = Deadline.from_budget(arrival, ov.default_budget)
                 work.deadline = deadline
-            enforce = ov.deadline_enforcement
-            if self.slo is not None:
-                self.slo.offer(arrival)
+            enforce = ov.protected
+            self.slo.offer(arrival)
             degraded = False
-            if ov.admission_enabled and self.admission is not None:
+            if enforce:
                 level = self.admission.admit(
                     arrival, predicted_delay=self.predicted_core_delay())
                 if level is ServiceLevel.SHED:
                     # Reject-with-fast-error: the client hears in
                     # microseconds, the server spends ~nothing.
                     self.rejected += 1
-                    if self.slo is not None:
-                        self.slo.shed_one()
+                    self.slo.shed_one()
                     yield self.env.timeout(ov.reject_latency)
                     return None
                 if level is ServiceLevel.DEGRADED:
                     self.degraded_queries += 1
                     degraded = True
                     work = work.pruned(ov.degraded_fraction)
-            if self.slo is not None:
-                self.slo.admit(degraded=degraded)
+            self.slo.admit(degraded=degraded)
 
-        accelerated = (self.config.mode is not AccelerationMode.SOFTWARE
-                       and self.fpga_available)
-        if self.config.mode is not AccelerationMode.SOFTWARE \
-                and not self.fpga_available:
+        accelerated = self.config.mode is not AccelerationMode.SOFTWARE
+        if accelerated and not self.fpga_available:
             self.software_fallbacks += 1
+            accelerated = False
         trace = work.trace
-        if not accelerated:
-            # The owning thread runs all stages back to back.
-            with self.cores.request() as core:
-                yield core
-                queue_delay = self.env.now - arrival
-                if trace is not None:
-                    trace.tap(Stage.CORE_QUEUE, self.env.now)
-                if self.admission is not None:
-                    self.admission.on_queue_delay(queue_delay, self.env.now)
-                if enforce and deadline is not None \
-                        and deadline.expired(self.env.now):
-                    self._expire(Stage.CORE_QUEUE)
-                    return None
+        with self.cores.request() as core:
+            yield core
+            now = self.env.now
+            if trace is not None:
+                trace.tap(Stage.CORE_QUEUE, now)
+            if self.admission is not None:
+                self.admission.on_queue_delay(now - arrival, now)
+            if enforce and deadline.expired(now):
+                self._expire(Stage.CORE_QUEUE)
+                return None
+            if accelerated:
+                hold = software.pre_time(work)
+            else:
+                # The owning thread runs all stages back to back.
                 hold = (software.pre_time(work)
                         + software.feature_time(work)
                         + software.post_time(work))
-                self._note_core_hold(hold)
-                yield self.env.timeout(hold)
-                if trace is not None:
-                    trace.tap(Stage.CORE_SOFTWARE, self.env.now)
-        else:
-            with self.cores.request() as core:
-                yield core
-                queue_delay = self.env.now - arrival
-                if trace is not None:
-                    trace.tap(Stage.CORE_QUEUE, self.env.now)
-                if self.admission is not None:
-                    self.admission.on_queue_delay(queue_delay, self.env.now)
-                if enforce and deadline is not None \
-                        and deadline.expired(self.env.now):
-                    self._expire(Stage.CORE_QUEUE)
-                    return None
-                hold = software.pre_time(work)
-                self._note_core_hold(hold)
-                yield self.env.timeout(hold)
-                if trace is not None:
-                    trace.tap(Stage.SW_PRE, self.env.now)
+            self._note_core_hold(hold)
+            yield self.env.timeout(hold)
+            if trace is not None:
+                trace.tap(Stage.SW_PRE if accelerated
+                          else Stage.CORE_SOFTWARE, self.env.now)
+        if accelerated:
             # Core released while the FPGA does the heavy lifting.
             with self.fpga_slots.request() as slot:
                 yield slot
                 if trace is not None:
                     trace.tap(Stage.FPGA_QUEUE, self.env.now)
-                if enforce and deadline is not None \
-                        and deadline.expired(self.env.now):
+                if enforce and deadline.expired(self.env.now):
                     self._expire(Stage.FPGA_QUEUE)
                     return None
-                yield self.env.timeout(self._remote_feature_time(work)
-                                       if self.config.mode
-                                       is AccelerationMode.REMOTE_FPGA
-                                       else self.feature_stage_time(work))
+                yield self.env.timeout(self.feature_stage_time(work))
                 if trace is not None:
                     trace.tap(Stage.ROLE_SERVICE, self.env.now)
             with self.cores.request() as core:
                 yield core
                 if trace is not None:
                     trace.tap(Stage.POST_QUEUE, self.env.now)
-                if enforce and deadline is not None \
-                        and deadline.expired(self.env.now):
+                if enforce and deadline.expired(self.env.now):
                     self._expire(Stage.POST_QUEUE)
                     return None
                 hold = software.post_time(work)
@@ -389,7 +314,6 @@ def run_open_loop(config: RankingServiceConfig, arrival_rate_qps: float,
     env = Environment()
     rng = random.Random(seed)
     server = RankingServer(env, config, rng=random.Random(seed + 1))
-    finish_times: List[float] = []
 
     def generator(env):
         for _ in range(num_queries):
@@ -485,8 +409,6 @@ class SurgeResult:
         out["rejected"] = float(self.server.rejected)
         out["degraded"] = float(self.server.degraded_queries)
         out["deadline_drops"] = float(self.server.deadline_stats.total)
-        if self.server.hedge is not None:
-            out["hedge_fraction"] = self.server.hedge.stats.hedge_fraction
         return out
 
 
@@ -503,15 +425,15 @@ def run_surge(config: RankingServiceConfig, profile,
     ("goodput under surge >= 85% of pre-surge", "admitted P99 <= 3x
     pre-surge P99") read straight off the result.
 
-    Requires ``config.overload`` — the unprotected baseline is expressed
-    as an :class:`OverloadConfig` with ``admission_enabled=False`` and
-    ``deadline_enforcement=False``, which stamps deadlines and accounts
-    SLO misses without shedding or dropping anything.
+    Requires ``config.overload`` — the unprotected baseline is
+    ``OverloadConfig(protected=False)``, which stamps deadlines and
+    accounts SLO misses without shedding or dropping anything.
     """
     if config.overload is None:
         raise ValueError(
-            "run_surge needs config.overload (use admission_enabled=False "
-            "for an unprotected-but-accounted baseline)")
+            "run_surge needs config.overload (use "
+            "OverloadConfig(protected=False) for an "
+            "unprotected-but-accounted baseline)")
     from ..workloads.surge import VariableRateArrivals
 
     if duration is None:

@@ -24,10 +24,8 @@ from repro.workloads import FlashCrowdProfile
 
 
 def surge_config(protected: bool) -> RankingServiceConfig:
-    overload = OverloadConfig() if protected else OverloadConfig(
-        admission_enabled=False, deadline_enforcement=False)
     return RankingServiceConfig(mode=AccelerationMode.LOCAL_FPGA,
-                                overload=overload)
+                                overload=OverloadConfig(protected=protected))
 
 
 @pytest.fixture(scope="module")
