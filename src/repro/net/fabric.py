@@ -113,7 +113,7 @@ class DatacenterFabric:
         handler = self._handlers.pop(host_index, None)
         coords = self.topology.coords(host_index)
         tor = self.topology.tor(coords.pod, coords.tor)
-        port = tor.ports.pop(host_index, None)
+        port = tor.remove_port(host_index)
         if port is not None:
             port.deliver = None
         if handler is not None and port is not None:

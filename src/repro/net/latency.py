@@ -145,9 +145,15 @@ class JitterStream:
     Refills ``batch`` samples at a time via
     :meth:`TierJitter.sample_batch`; draw order (and therefore RNG
     consumption) matches per-packet sampling exactly, as long as the rng
-    is not shared with another *interleaved* consumer.  Switches qualify:
-    their rng's only other client is ECN marking, which draws nothing
-    while queues sit below the marking threshold.
+    is not shared with another *interleaved* consumer.
+
+    A switch shares its rng with ECN marking, which draws only while an
+    output queue is deeper than ``kmin``.  On an idle fabric that never
+    happens and the batched draws equal per-packet ones.  On a congested
+    switch (an LTL incast marks a few packets per run) a mark's draw
+    lands between two refills, so the jitter values differ from what
+    per-packet sampling would give.  The batched stream is the model of
+    record; seeded digests pin it.
     """
 
     __slots__ = ("_jitter", "_rng", "_batch", "_buffer", "_index")

@@ -15,10 +15,9 @@ attributed per physical hop at the point of arrival.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..sim import Environment
-from ..sim.units import serialization_delay
 from .packet import Packet, TrafficClass
 
 #: Speed of light in fiber, metres per second (~2/3 c).
@@ -27,6 +26,7 @@ FIBER_METERS_PER_SECOND = 2.0e8
 #: Strict-priority drain order (highest traffic class first), precomputed
 #: once instead of re-sorting on every packet.
 _DRAIN_ORDER = tuple(sorted(TrafficClass.ALL, reverse=True))
+_LOSSLESS = TrafficClass.LOSSLESS
 
 
 def propagation_delay(distance_m: float) -> float:
@@ -59,7 +59,8 @@ class Port:
     drained strictly by priority (higher traffic-class number first), which
     models the switch giving the lossless class precedence.
 
-    The drain is a callback state machine rather than a process: one
+    The drain is a callback state machine rather than a process: a
+    zero-delay kick when the idle port gets work, one
     :meth:`Environment.call_later` per serialization and one per
     propagation, with no generator, no wakeup store and no per-packet
     process objects on the datapath.
@@ -69,6 +70,8 @@ class Port:
                  distance_m: float = 5.0,
                  deliver: Optional[Callable[[Packet], None]] = None,
                  queue_capacity_bytes: int = 1 << 20):
+        if rate_bps <= 0:
+            raise ValueError("link rate must be positive")
         self.env = env
         self.name = name
         self.rate_bps = rate_bps
@@ -110,9 +113,9 @@ class Port:
         packets are always accepted — back-pressure is PFC's job; the switch
         asserting PFC too late shows up in stats as ``lossless_overflow``.
         """
-        tc = packet.traffic_class
+        tc = packet.eth.priority
         size = packet.wire_bytes
-        if not TrafficClass.is_lossless(tc) and \
+        if tc != _LOSSLESS and \
                 self._queued_total + size > self.queue_capacity_bytes:
             self.stats.dropped += 1
             trace = packet.trace
@@ -126,7 +129,13 @@ class Port:
         self._queued_bytes[tc] += size
         self._queued_total += size
         self.stats.enqueued += 1
-        self._kick()
+        # Kick an idle port one zero-delay event later: every enqueue
+        # arriving at the same timestamp is visible before the port picks
+        # a packet, so strict priority is decided over the whole
+        # same-instant batch.
+        if not self._busy and not self._kick_pending:
+            self._kick_pending = True
+            self.env.call_later(0.0, self._drain)
         return True
 
     def pause(self, tc: int) -> None:
@@ -139,54 +148,51 @@ class Port:
         """PFC: resume transmitting class ``tc``."""
         if self._paused[tc]:
             self._paused[tc] = False
-            self._kick()
+            if not self._busy and not self._kick_pending:
+                self._kick_pending = True
+                self.env.call_later(0.0, self._drain)
 
     def is_paused(self, tc: int) -> bool:
         return self._paused[tc]
 
+    def conservation_violations(self) -> List[str]:
+        """Check ``enqueued == transmitted + queued + serializing``;
+        return a description if it is broken (it holds at any instant)."""
+        s = self.stats
+        queued = sum(len(queue) for queue in self._queues.values())
+        serializing = 1 if self._busy else 0
+        if s.enqueued == s.transmitted + queued + serializing:
+            return []
+        return [f"{self.name}: {s.enqueued} enqueued != {s.transmitted} "
+                f"transmitted + {queued} queued + {serializing} "
+                f"serializing"]
+
     # ------------------------------------------------------------------
     # Drain state machine
     # ------------------------------------------------------------------
-    def _kick(self) -> None:
-        """Schedule a drain start for this instant (idempotent).
-
-        The one-event deferral matters: every enqueue arriving at the same
-        timestamp is visible before the port picks a packet, so strict
-        priority is decided over the whole same-instant batch — matching
-        the old wakeup-store drain loop.
-        """
-        if not self._busy and not self._kick_pending:
-            self._kick_pending = True
-            self.env.call_later(0.0, self._kicked)
-
-    def _kicked(self) -> None:
+    def _drain(self) -> None:
+        """Start serializing the highest-priority unpaused packet, if the
+        port is idle and one is queued."""
         self._kick_pending = False
-        if not self._busy:
-            self._start_next()
-
-    def _next_packet(self) -> Optional[Tuple[Packet, int]]:
+        if self._busy:
+            return
+        paused = self._paused
         for tc in _DRAIN_ORDER:
-            if self._queues[tc] and not self._paused[tc]:
-                packet, size = self._queues[tc].popleft()
+            queue = self._queues[tc]
+            if queue and not paused[tc]:
+                packet, size = queue.popleft()
                 self._queued_bytes[tc] -= size
                 self._queued_total -= size
-                return packet, size
-        return None
-
-    def _start_next(self) -> None:
-        """Begin serializing the next eligible packet, if any."""
-        item = self._next_packet()
-        if item is None:
-            return
-        packet, size = item
-        self._busy = True
-        delay = serialization_delay(size, self.rate_bps)
-        self.env.call_later(delay, self._finish_tx, packet, size)
+                self._busy = True
+                self.env.call_later(size * 8 / self.rate_bps,
+                                    self._finish_tx, packet, size)
+                return
 
     def _finish_tx(self, packet: Packet, size: int) -> None:
         """Serialization done: launch the packet, pick up the next one."""
-        self.stats.transmitted += 1
-        self.stats.bytes_transmitted += size
+        stats = self.stats
+        stats.transmitted += 1
+        stats.bytes_transmitted += size
         if self.on_transmit is not None:
             self.on_transmit(packet)
         deliver = self.deliver
@@ -199,4 +205,5 @@ class Port:
             else:
                 self.env.call_later(self.propagation, deliver, packet)
         self._busy = False
-        self._start_next()
+        if self._queued_total:
+            self._drain()

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim import Environment
 from ..trace.stages import SWITCH_STAGE_BY_TIER, Stage
@@ -27,6 +28,7 @@ from .packet import Packet, TrafficClass
 
 # Hoisted Stage member for the per-packet ingress tap.
 _STAGE_LINK_WIRE = Stage.LINK_WIRE
+_LOSSLESS = TrafficClass.LOSSLESS
 
 
 @dataclass
@@ -70,6 +72,8 @@ class SwitchStats:
         self.pfc_pause_sent = 0
         self.pfc_resume_sent = 0
         self.lossless_overflow = 0
+        #: Packets the output port refused at forward time (tail drop).
+        self.dropped = 0
 
 
 class Switch:
@@ -77,9 +81,10 @@ class Switch:
 
     Ports are registered under hashable keys (e.g. a host index or the
     string ``"uplink"``).  Routing is a callable, installed by the topology
-    builder, mapping a packet to an output-port key.  Upstream transmit
-    ports register for PFC so the switch can push back on senders of
-    lossless traffic.
+    builder, mapping a packet to an output-port key; it must depend on the
+    packet's destination MAC alone, because the switch caches its answer
+    per destination.  Upstream transmit ports register for PFC so the
+    switch can push back on senders of lossless traffic.
     """
 
     def __init__(self, env: Environment, name: str, tier: str,
@@ -109,10 +114,16 @@ class Switch:
         self._jitter: Optional[JitterStream] = None
         self.ports: Dict[object, Port] = {}
         self._router: Optional[Callable[["Switch", Packet], object]] = None
+        #: Destination MAC -> (port key, port) as resolved by the router;
+        #: cleared whenever ``ports`` or the router changes.  A routing
+        #: failure is never cached.
+        self._routes: Dict[str, Tuple[object, Port]] = {}
         #: Upstream transmit ports to pause/resume, keyed by neighbor name.
         self._upstream: Dict[str, Port] = {}
-        #: (port_key, tc) pairs currently holding upstreams paused.
+        #: (port_key, tc) pairs currently holding upstreams paused, and
+        #: how many there are: with none, a dequeue cannot resume anything.
         self._pausing: Dict[Tuple[object, int], bool] = {}
+        self._pausing_count = 0
 
     # ------------------------------------------------------------------
     # Wiring (used by the topology builder)
@@ -121,10 +132,17 @@ class Switch:
         if key in self.ports:
             raise ValueError(f"duplicate port key {key!r} on {self.name}")
         self.ports[key] = port
-        port.on_transmit = lambda pkt, k=key: self._after_transmit(k, pkt)
+        port.on_transmit = partial(self._after_transmit, key, port)
+        self._routes.clear()
+
+    def remove_port(self, key: object) -> Optional[Port]:
+        """Unregister and return the port under ``key`` (None if absent)."""
+        self._routes.clear()
+        return self.ports.pop(key, None)
 
     def set_router(self, router: Callable[["Switch", Packet], object]) -> None:
         self._router = router
+        self._routes.clear()
 
     def register_upstream(self, neighbor_name: str, tx_port: Port) -> None:
         """Register a neighbor's transmit port for PFC pushback."""
@@ -154,57 +172,91 @@ class Switch:
         self.env.call_later(delay, self._forward, packet)
 
     def _forward(self, packet: Packet) -> None:
-        if packet.trace is not None and self._trace_stage is not None:
+        trace = packet.trace
+        if trace is not None and self._trace_stage is not None:
             # Forwarding latency + background-traffic jitter for this tier.
-            packet.trace.tap(self._trace_stage, self.env.now)
-        if self._router is None:
-            self.stats.routing_failures += 1
-            return
-        key = self._router(self, packet)
-        port = self.ports.get(key)
-        if port is None:
-            self.stats.routing_failures += 1
-            return
-        self._maybe_mark_ecn(port, packet)
-        accepted = port.enqueue(packet)
-        if accepted:
+            trace.tap(self._trace_stage, self.env.now)
+        dst = packet.eth.dst_mac
+        route = self._routes.get(dst)
+        if route is None:
+            if self._router is None:
+                self.stats.routing_failures += 1
+                return
+            key = self._router(self, packet)
+            port = self.ports.get(key)
+            if port is None:
+                self.stats.routing_failures += 1
+                return
+            route = self._routes[dst] = (key, port)
+        key, port = route
+        tc = packet.eth.priority
+        # ECN and PFC are consulted only past their thresholds: at or
+        # below ``kmin`` the marking probability is 0 (and no random draw
+        # is made), and below ``xoff`` with nothing paused PFC has nothing
+        # to do.  Thresholds are read per packet; the configs are mutable.
+        queued = port._queued_bytes[tc]
+        if packet.ip is not None and queued > self.ecn.kmin_bytes:
+            self._mark_ecn(packet, queued)
+        if port.enqueue(packet):
             self.stats.forwarded += 1
-        elif TrafficClass.is_lossless(packet.traffic_class):
-            self.stats.lossless_overflow += 1
-        self._update_pfc(key, port)
+        else:
+            self.stats.dropped += 1
+            if tc == _LOSSLESS:
+                self.stats.lossless_overflow += 1
+        if self._pausing_count or \
+                port._queued_bytes[_LOSSLESS] > self.pfc.xoff_bytes:
+            self._update_pfc(key, port)
 
-    def _maybe_mark_ecn(self, port: Port, packet: Packet) -> None:
-        if packet.ip is None:
-            return
-        prob = self.ecn.mark_probability(
-            port.queued_bytes(packet.traffic_class))
+    def _mark_ecn(self, packet: Packet, queue_bytes: int) -> None:
+        prob = self.ecn.mark_probability(queue_bytes)
         if prob > 0 and self.rng.random() < prob:
             packet.ecn_marked = True
             packet.ip.ecn = 0b11  # Congestion Experienced
             self.stats.ecn_marked += 1
 
+    def conservation_violations(self) -> List[str]:
+        """Check ``received == forwarded + routing_failures + dropped +
+        in forwarding``; return a description if it is broken.
+
+        "In forwarding" counts packets between ingress and their
+        scheduled forward (zero at quiescence), read from the schedule.
+        """
+        s = self.stats
+        pending = self.env.scheduled_calls(self._forward)
+        out = s.forwarded + s.routing_failures + s.dropped + pending
+        if s.received == out:
+            return []
+        return [f"{self.name}: {s.received} received != {s.forwarded} "
+                f"forwarded + {s.routing_failures} routing failures + "
+                f"{s.dropped} dropped + {pending} in forwarding"]
+
     # ------------------------------------------------------------------
     # PFC
     # ------------------------------------------------------------------
     def _update_pfc(self, key: object, port: Port) -> None:
-        tc = TrafficClass.LOSSLESS
+        tc = _LOSSLESS
         occupancy = port.queued_bytes(tc)
         paused = self._pausing.get((key, tc), False)
         if not paused and occupancy > self.pfc.xoff_bytes:
             self._pausing[(key, tc)] = True
+            self._pausing_count += 1
             self.stats.pfc_pause_sent += 1
             for upstream in self._upstream.values():
                 upstream.pause(tc)
         elif paused and occupancy < self.pfc.xon_bytes:
             self._pausing[(key, tc)] = False
+            self._pausing_count -= 1
             self.stats.pfc_resume_sent += 1
-            if not any(self._pausing.values()):
+            if not self._pausing_count:
                 for upstream in self._upstream.values():
                     upstream.resume(tc)
 
-    def _after_transmit(self, key: object, _packet: Packet) -> None:
-        port = self.ports[key]
-        self._update_pfc(key, port)
+    def _after_transmit(self, key: object, port: Port,
+                        _packet: Packet) -> None:
+        # With nothing pausing, a dequeue has nothing to resume and cannot
+        # cross ``xoff``: occupancy only grows at enqueue, which checks it.
+        if self._pausing_count:
+            self._update_pfc(key, port)
 
     def __repr__(self) -> str:
         return f"<Switch {self.name} tier={self.tier}>"

@@ -73,6 +73,10 @@ class ThreeTierTopology:
         self._mac_cache: Dict[str, int] = {}
         self._coords_cache: Dict[int, HostCoordinates] = {}
         self._switch_pos: Dict[str, Tuple[int, int]] = {}
+        #: Per-host address strings, built once (every packet built for
+        #: a destination asks for them).
+        self._ip_of: Dict[int, str] = {}
+        self._mac_of: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Coordinates and physics
@@ -106,10 +110,17 @@ class ThreeTierTopology:
             lat.l1_l2_distance_max_m - lat.l1_l2_distance_min_m)
 
     def ip_of(self, host_index: int) -> str:
-        return ip_address(self.coords(host_index))
+        ip = self._ip_of.get(host_index)
+        if ip is None:
+            ip = self._ip_of[host_index] = ip_address(
+                self.coords(host_index))
+        return ip
 
     def mac_of(self, host_index: int) -> str:
-        return mac_address(host_index)
+        mac = self._mac_of.get(host_index)
+        if mac is None:
+            mac = self._mac_of[host_index] = mac_address(host_index)
+        return mac
 
     # ------------------------------------------------------------------
     # Lazy switch construction

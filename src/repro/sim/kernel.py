@@ -143,6 +143,13 @@ class Environment:
         queue = self._queue
         return queue[0][0] if queue else _INF
 
+    def scheduled_calls(self, fn: Callable[..., None]) -> int:
+        """Number of pending :meth:`call_later`/:meth:`call_at` entries
+        that will run ``fn`` (a scan of the schedule: for checks, not for
+        hot paths)."""
+        return sum(1 for entry in self._queue
+                   if entry[3].__class__ is Deferred and entry[3].fn == fn)
+
     # ------------------------------------------------------------------
     # Event creation
     # ------------------------------------------------------------------

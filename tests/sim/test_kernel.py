@@ -15,6 +15,19 @@ class TestEnvironmentBasics:
     def test_peek_empty_is_infinite(self):
         assert Environment().peek() == float("inf")
 
+    def test_scheduled_calls_counts_pending_entries_for_fn(self):
+        env = Environment()
+        hits = []
+        env.call_later(1.0, hits.append, 1)
+        env.call_at(2.0, hits.append, 2)
+        env.call_later(1.5, hits.copy)
+        env.timeout(0.5)
+        assert env.scheduled_calls(hits.append) == 2
+        env.run(until=1.2)
+        assert env.scheduled_calls(hits.append) == 1
+        env.run()
+        assert env.scheduled_calls(hits.append) == 0
+
     def test_step_on_empty_schedule_raises(self):
         with pytest.raises(EmptySchedule):
             Environment().step()
