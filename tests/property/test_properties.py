@@ -209,11 +209,10 @@ def test_er_no_loss_and_per_flow_order(traffic):
     env.run()
     delivered = sum(len(v) for v in received.values())
     assert delivered == len(traffic)
-    # Per-(src, dst, vc) FIFO order. received is keyed (src, dst, vc)
-    # because delivery happens at dst.
+    # Exactly-once, in-order delivery per (src, dst, vc) flow. received
+    # is keyed (src, dst, vc) because delivery happens at dst.
     for (src, dst, vc), seqs in received.items():
-        expected = [i for i in range(len(seqs))]
-        assert sorted(seqs) == seqs == expected or sorted(seqs) == seqs
+        assert seqs == list(range(sequence[(src, dst, vc)]))
 
 
 # ---------------------------------------------------------------------------
