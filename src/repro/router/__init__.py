@@ -13,8 +13,12 @@ from .credits import (
     StaticCreditPool,
     make_credit_pool,
 )
-from .elastic_router import DEFAULT_FREQ_HZ, ElasticRouter, RouterStats
-from .flit import Flit, Message, packetize
+from .elastic_router import (
+    DEFAULT_FREQ_HZ,
+    ElasticRouter,
+    Message,
+    RouterStats,
+)
 
 __all__ = [
     "ComposedNetwork",
@@ -24,12 +28,10 @@ __all__ = [
     "ElasticCreditPool",
     "ElasticRouter",
     "Envelope",
-    "Flit",
     "MeshNetwork",
     "Message",
     "RingNetwork",
     "RouterStats",
     "StaticCreditPool",
     "make_credit_pool",
-    "packetize",
 ]

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..sim import Environment
-from .elastic_router import ElasticRouter
-from .flit import Message
+from .elastic_router import ElasticRouter, Message
 
 #: Port index reserved for the local endpoint on every composed router.
 LOCAL_PORT = 0

@@ -44,6 +44,11 @@ class CreditPool:
     def in_use(self) -> int:
         raise NotImplementedError
 
+    def conservation_violations(self) -> List[str]:
+        """Describe each broken law of the pool's counts (empty when all
+        hold)."""
+        raise NotImplementedError
+
 
 class StaticCreditPool(CreditPool):
     """Conventional fixed per-VC credit allocation."""
@@ -77,6 +82,13 @@ class StaticCreditPool(CreditPool):
     @property
     def in_use(self) -> int:
         return sum(self._used)
+
+    def conservation_violations(self) -> List[str]:
+        """Per VC: ``0 <= used <= capacity``."""
+        return [f"vc {vc}: {used} credits used of {capacity}"
+                for vc, (used, capacity)
+                in enumerate(zip(self._used, self._capacity))
+                if not 0 <= used <= capacity]
 
 
 class ElasticCreditPool(CreditPool):
@@ -141,6 +153,26 @@ class ElasticCreditPool(CreditPool):
     @property
     def shared_in_use(self) -> int:
         return self._shared_used
+
+    def conservation_violations(self) -> List[str]:
+        """Per VC: ``0 <= reserved used <= reserved_per_vc`` and
+        ``borrowed >= 0``; the shared pool: ``sum(borrowed) == shared
+        used <= shared capacity``."""
+        broken = [f"vc {vc}: {used} reserved credits used of "
+                  f"{self.reserved_per_vc}"
+                  for vc, used in enumerate(self._reserved_used)
+                  if not 0 <= used <= self.reserved_per_vc]
+        broken += [f"vc {vc}: {borrowed} shared credits borrowed"
+                   for vc, borrowed in enumerate(self._borrowed)
+                   if borrowed < 0]
+        borrowed = sum(self._borrowed)
+        if borrowed != self._shared_used:
+            broken.append(f"{borrowed} shared credits borrowed, "
+                          f"{self._shared_used} shared used")
+        if self._shared_used > self._shared_capacity:
+            broken.append(f"{self._shared_used} shared credits used of "
+                          f"{self._shared_capacity}")
+        return broken
 
 
 def make_credit_pool(policy: str, total_credits: int, num_vcs: int,

@@ -166,3 +166,63 @@ class TestFactory:
     def test_factory_unknown(self):
         with pytest.raises(ValueError):
             make_credit_pool("magic", 8, 2)
+
+
+class TestConservationLaws:
+    def test_laws_hold_through_acquire_release_churn(self):
+        for pool in (StaticCreditPool(7, 3), ElasticCreditPool(7, 3, 2)):
+            held = []
+            for step in range(40):
+                vc = step * 5 % 3
+                if step % 3 == 2 and held:
+                    pool.release(held.pop(0))
+                elif pool.try_acquire(vc):
+                    held.append(vc)
+                assert pool.conservation_violations() == []
+
+    def test_static_reports_negative_use(self):
+        pool = StaticCreditPool(total_credits=4, num_vcs=2)
+        pool._used[1] = -1
+        assert pool.conservation_violations() == [
+            "vc 1: -1 credits used of 2"]
+
+    def test_static_reports_use_over_capacity(self):
+        pool = StaticCreditPool(total_credits=4, num_vcs=2)
+        pool._used[0] = 3
+        assert pool.conservation_violations() == [
+            "vc 0: 3 credits used of 2"]
+
+    def test_elastic_reports_reserved_over_its_floor(self):
+        pool = ElasticCreditPool(total_credits=6, num_vcs=2,
+                                 reserved_per_vc=1)
+        pool._reserved_used[1] = 2
+        assert pool.conservation_violations() == [
+            "vc 1: 2 reserved credits used of 1"]
+
+    def test_elastic_reports_negative_reserved_use(self):
+        pool = ElasticCreditPool(total_credits=6, num_vcs=2)
+        pool._reserved_used[0] = -1
+        assert pool.conservation_violations() == [
+            "vc 0: -1 reserved credits used of 1"]
+
+    def test_elastic_reports_borrowed_not_matching_shared(self):
+        pool = ElasticCreditPool(total_credits=6, num_vcs=2)
+        for _ in range(3):
+            assert pool.try_acquire(0)
+        pool._borrowed[0] -= 1
+        assert pool.conservation_violations() == [
+            "1 shared credits borrowed, 2 shared used"]
+
+    def test_elastic_reports_negative_borrow(self):
+        pool = ElasticCreditPool(total_credits=6, num_vcs=2)
+        pool._borrowed[0] = -1
+        pool._shared_used = -1
+        assert pool.conservation_violations() == [
+            "vc 0: -1 shared credits borrowed"]
+
+    def test_elastic_reports_shared_over_capacity(self):
+        pool = ElasticCreditPool(total_credits=4, num_vcs=2)
+        pool._borrowed[1] = 3
+        pool._shared_used = 3
+        assert pool.conservation_violations() == [
+            "3 shared credits used of 2"]
