@@ -94,3 +94,26 @@ def test_traced_stage_order(mode):
     env.run()
     assert server.completed == 1
     assert [stage for stage, _ in work.trace.marks] == STAGE_ORDER[mode]
+
+
+def test_schedule_size_pinned():
+    """The perfbench ``accel_ranking`` shape, scaled down: Poisson
+    queries at 11,000 qps into a protected remote-FPGA server.  An
+    accelerated query makes 9 schedule entries (arrival timeout, process
+    start, three slot grants, three hold timeouts, process end); the
+    generator adds its own start and end."""
+    env = Environment()
+    config = RankingServiceConfig(mode=AccelerationMode.REMOTE_FPGA,
+                                  overload=OverloadConfig())
+    server = RankingServer(env, config, rng=random.Random(2))
+    arrivals = random.Random(1)
+
+    def generator():
+        for _ in range(4000):
+            env.process(server.handle_query())
+            yield env.timeout(arrivals.expovariate(11_000.0))
+
+    env.process(generator())
+    env.run()
+    assert server.completed == 4000
+    assert env.events_processed == 9 * 4000 + 2
