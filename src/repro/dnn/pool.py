@@ -150,9 +150,10 @@ class DnnPool:
         halves to ``pool.net``, the slot wait to ``pool.queue`` and the
         accelerator service to ``role.service``.
         """
-        enqueued_at = self.env.now
+        env = self.env
+        enqueued_at = env._now
         expires_at = expires_at_of(deadline)
-        if expires_at is not None and self.env.now > expires_at:
+        if expires_at is not None and enqueued_at > expires_at:
             self.deadline_drops += 1
             return None
         network = 0.0
@@ -162,27 +163,31 @@ class DnnPool:
         self._queue_depth[index] += 1
         # Outbound network half before the accelerator sees the request.
         if network > 0:
-            yield self.env.timeout(network / 2)
+            yield env.timeout(network / 2)
             if trace is not None:
-                trace.tap(Stage.POOL_NET, self.env.now)
-        with self._slots[index].request() as slot:
+                trace.tap(Stage.POOL_NET, env._now)
+        resource = self._slots[index]
+        slot = resource.request()
+        try:
             yield slot
             if trace is not None:
-                trace.tap(Stage.POOL_QUEUE, self.env.now)
-            if expires_at is not None and self.env.now > expires_at:
+                trace.tap(Stage.POOL_QUEUE, env._now)
+            if expires_at is not None and env._now > expires_at:
                 self._queue_depth[index] -= 1
                 self.deadline_drops += 1
                 return None
             self.backend_served += 1
-            yield self.env.timeout(self._service_time(index))
+            yield env.timeout(self._service_time(index))
             if trace is not None:
-                trace.tap(Stage.ROLE_SERVICE, self.env.now)
+                trace.tap(Stage.ROLE_SERVICE, env._now)
+        finally:
+            resource.release(slot)
         self._queue_depth[index] -= 1
         if network > 0:
-            yield self.env.timeout(network / 2)
+            yield env.timeout(network / 2)
             if trace is not None:
-                trace.tap(Stage.POOL_NET, self.env.now)
-        latency = self.env.now - enqueued_at
+                trace.tap(Stage.POOL_NET, env._now)
+        latency = env._now - enqueued_at
         self.latency.record(latency)
         self.completed += 1
         return latency

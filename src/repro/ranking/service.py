@@ -133,9 +133,6 @@ class RankingServer:
         self._core_hold_ewma = config.software.pre_seconds
 
     # ------------------------------------------------------------------
-    def _note_core_hold(self, hold: float) -> None:
-        self._core_hold_ewma += 0.2 * (hold - self._core_hold_ewma)
-
     def predicted_core_delay(self) -> float:
         """Instantaneous estimate of the wait a new arrival would see."""
         return (len(self.cores.queue) * self._core_hold_ewma
@@ -199,7 +196,8 @@ class RankingServer:
         """
         if work is None:
             work = self.config.workload.sample(self.rng)
-        arrival = self.env.now
+        env = self.env
+        arrival = env._now
         software = self.config.software
         ov = self.config.overload
 
@@ -220,7 +218,7 @@ class RankingServer:
                     # microseconds, the server spends ~nothing.
                     self.rejected += 1
                     self.slo.shed_one()
-                    yield self.env.timeout(ov.reject_latency)
+                    yield env.timeout(ov.reject_latency)
                     return None
                 if level is ServiceLevel.DEGRADED:
                     self.degraded_queries += 1
@@ -233,9 +231,11 @@ class RankingServer:
             self.software_fallbacks += 1
             accelerated = False
         trace = work.trace
-        with self.cores.request() as core:
+        # try/finally, not ``with``: one release call per stage, not three.
+        core = self.cores.request()
+        try:
             yield core
-            now = self.env.now
+            now = env._now
             if trace is not None:
                 trace.tap(Stage.CORE_QUEUE, now)
             if self.admission is not None:
@@ -250,42 +250,52 @@ class RankingServer:
                 hold = (software.pre_time(work)
                         + software.feature_time(work)
                         + software.post_time(work))
-            self._note_core_hold(hold)
-            yield self.env.timeout(hold)
+            self._core_hold_ewma += 0.2 * (hold - self._core_hold_ewma)
+            yield env.timeout(hold)
             if trace is not None:
                 trace.tap(Stage.SW_PRE if accelerated
-                          else Stage.CORE_SOFTWARE, self.env.now)
+                          else Stage.CORE_SOFTWARE, env._now)
+        finally:
+            self.cores.release(core)
         if accelerated:
             # Core released while the FPGA does the heavy lifting.
-            with self.fpga_slots.request() as slot:
+            slot = self.fpga_slots.request()
+            try:
                 yield slot
+                now = env._now
                 if trace is not None:
-                    trace.tap(Stage.FPGA_QUEUE, self.env.now)
-                if enforce and deadline.expired(self.env.now):
+                    trace.tap(Stage.FPGA_QUEUE, now)
+                if enforce and deadline.expired(now):
                     self._expire(Stage.FPGA_QUEUE)
                     return None
-                yield self.env.timeout(self.feature_stage_time(work))
+                yield env.timeout(self.feature_stage_time(work))
                 if trace is not None:
-                    trace.tap(Stage.ROLE_SERVICE, self.env.now)
-            with self.cores.request() as core:
+                    trace.tap(Stage.ROLE_SERVICE, env._now)
+            finally:
+                self.fpga_slots.release(slot)
+            core = self.cores.request()
+            try:
                 yield core
+                now = env._now
                 if trace is not None:
-                    trace.tap(Stage.POST_QUEUE, self.env.now)
-                if enforce and deadline.expired(self.env.now):
+                    trace.tap(Stage.POST_QUEUE, now)
+                if enforce and deadline.expired(now):
                     self._expire(Stage.POST_QUEUE)
                     return None
                 hold = software.post_time(work)
-                self._note_core_hold(hold)
-                yield self.env.timeout(hold)
+                self._core_hold_ewma += 0.2 * (hold - self._core_hold_ewma)
+                yield env.timeout(hold)
                 if trace is not None:
-                    trace.tap(Stage.SW_POST, self.env.now)
+                    trace.tap(Stage.SW_POST, env._now)
+            finally:
+                self.cores.release(core)
 
         self.completed += 1
-        latency = self.env.now - arrival
+        latency = env._now - arrival
         self.latency.record(latency)
         if self.slo is not None:
-            missed = deadline is not None and deadline.expired(self.env.now)
-            self.slo.complete(self.env.now, missed_deadline=missed)
+            missed = deadline is not None and deadline.expired(env._now)
+            self.slo.complete(env._now, missed_deadline=missed)
         return latency
 
 

@@ -90,7 +90,7 @@ class _Bootstrap:
     _value = None
 
 
-_BOOT = _Bootstrap()
+_BOOT_ARGS = (_Bootstrap(),)
 
 
 class Event:
@@ -207,21 +207,24 @@ class Process(Event):
     :meth:`_resume` in sync with that inline copy when changing either.
     """
 
-    __slots__ = ("generator", "_send", "_target", "name")
+    __slots__ = ("generator", "_target", "name")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  name: Optional[str] = None):
-        super().__init__(env)
         if not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
+        # Inlined Event.__init__: every query or request starts a process.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.generator = generator
-        self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently waiting on (None when ready).
         self._target: Optional[Event] = None
-        # Bootstrap: resume the generator at the current simulation time.
-        # A Deferred is enough — nothing ever waits on the bootstrap event.
-        env._push(env._now, NORMAL, Deferred(self._resume, (_BOOT,)))
+        # Bootstrap: a Deferred that calls the process resumes it now.
+        env._push(env._now, NORMAL, Deferred(self, _BOOT_ARGS))
 
     @property
     def is_alive(self) -> bool:
@@ -278,7 +281,7 @@ class Process(Event):
         self._target = None
         try:
             if event._ok:
-                result = self._send(event._value)
+                result = self.generator.send(event._value)
             else:
                 event._defused = True
                 result = self.generator.throw(event._value)

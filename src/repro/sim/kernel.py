@@ -352,7 +352,6 @@ class Environment:
 
         # Tight loop: inline step() with all hot names bound locally.
         queue = self._queue
-        push = self._push
         # Processed-event count via sequence accounting: every seq
         # draw enters the schedule exactly once, so pops = draws
         # minus the change in queued entries.  Saves an interpreted
@@ -402,7 +401,7 @@ class Environment:
                         proc._target = None
                         try:
                             if event._ok:
-                                result = proc._send(event._value)
+                                result = proc.generator.send(event._value)
                             else:
                                 event._defused = True
                                 result = proc.generator.throw(
@@ -411,13 +410,15 @@ class Environment:
                             self._active_process = None
                             proc._ok = True
                             proc._value = stop.value
-                            push(self._now, NORMAL, proc)
+                            seq = self._seq
+                            self._seq = seq + 1
+                            heappush(queue, (self._now, NORMAL, seq, proc))
                             break
                         except BaseException as exc:
                             self._active_process = None
                             proc._ok = False
                             proc._value = exc
-                            push(self._now, NORMAL, proc)
+                            self._push(self._now, NORMAL, proc)
                             break
                         self._active_process = None
                         try:

@@ -7,23 +7,19 @@ a CPU core pool, an FPGA role slot, a DMA channel, ...).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, TYPE_CHECKING
+from heapq import heappush
+from typing import Any, Deque, TYPE_CHECKING
 
-from .events import Event
+from .events import NORMAL, PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Environment
 
 
 class ResourceRequest(Event):
-    """Pending claim on a :class:`Resource` slot."""
+    """Claim on a :class:`Resource` slot: granted iff triggered."""
 
     __slots__ = ("resource", "released")
-
-    def __init__(self, env: "Environment", resource: "Resource"):
-        super().__init__(env)
-        self.resource = resource
-        self.released = False
 
     def release(self) -> None:
         """Give the slot back (idempotent)."""
@@ -35,7 +31,7 @@ class ResourceRequest(Event):
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self.release()
+        self.resource.release(self)
 
 
 class Resource:
@@ -43,7 +39,8 @@ class Resource:
 
     ``capacity`` slots exist; ``request()`` returns an event that succeeds
     when a slot is granted.  Slots are returned via ``release`` (or the
-    request's context manager).
+    request's context manager).  ``count`` slots are held; ``queue`` (the
+    requests not yet granted) is non-empty only while all of them are.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1):
@@ -51,36 +48,39 @@ class Resource:
             raise ValueError("capacity must be >= 1")
         self.env = env
         self.capacity = capacity
-        self.users: List[ResourceRequest] = []
+        self.count = 0
         self.queue: Deque[ResourceRequest] = deque()
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self.users)
-
     def request(self) -> ResourceRequest:
-        event = ResourceRequest(self.env, self)
-        self.queue.append(event)
-        self._grant()
-        return event
+        # Inlined Event.__init__ and succeed(): one request per query stage.
+        env = self.env
+        request = ResourceRequest.__new__(ResourceRequest)
+        request.env = env
+        request.callbacks = []
+        request._ok = True
+        request._defused = False
+        request.resource = self
+        request.released = False
+        if self.count < self.capacity:
+            self.count += 1
+            request._value = None
+            seq = env._seq
+            env._seq = seq + 1
+            heappush(env._queue, (env._now, NORMAL, seq, request))
+        else:
+            request._value = PENDING
+            self.queue.append(request)
+        return request
 
     def release(self, request: ResourceRequest) -> None:
         if request.released:
             return
         request.released = True
-        if request in self.users:
-            self.users.remove(request)
-        elif request in self.queue:
+        if request._value is PENDING:
             # Cancelled before being granted.
             self.queue.remove(request)
-            if not request.triggered:
-                request._defused = True
-            return
-        self._grant()
-
-    def _grant(self) -> None:
-        while self.queue and len(self.users) < self.capacity:
-            request = self.queue.popleft()
-            self.users.append(request)
-            request.succeed()
+            request._defused = True
+        elif self.queue:
+            self.queue.popleft().succeed()
+        else:
+            self.count -= 1

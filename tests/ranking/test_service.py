@@ -1,14 +1,20 @@
 """Tests for the ranking-service queueing simulation (Figs. 6-8, 11)."""
 
+import random
+
 import pytest
 
+from repro.overload.deadline import Deadline
 from repro.ranking.service import (
     AccelerationMode,
+    OverloadConfig,
+    RankingServer,
     RankingServiceConfig,
     latency_vs_throughput,
     run_open_loop,
     saturation_qps,
 )
+from repro.sim import Environment
 
 
 def config(mode):
@@ -108,3 +114,33 @@ class TestSweep:
         fp = run_open_loop(fp_cfg, 1.8 * target_rate, num_queries=1000,
                            seed=4)
         assert fp.latency.p99 <= latency_target
+
+
+class TestExpiredQueriesReleaseSlots:
+    def test_every_stage_drop_returns_its_slot(self):
+        """Queries whose deadlines expire in the core, FPGA and post
+        queues return early from ``handle_query``; each must give back
+        the slot it was granted, or later queries wait forever."""
+        env = Environment()
+        server = RankingServer(
+            env, RankingServiceConfig(mode=AccelerationMode.REMOTE_FPGA,
+                                      overload=OverloadConfig()),
+            rng=random.Random(3))
+        rng = random.Random(4)
+
+        def generator():
+            for _ in range(400):
+                work = server.config.workload.sample(server.rng)
+                work.deadline = Deadline.from_budget(
+                    env.now, rng.uniform(0.1e-3, 1.5e-3))
+                env.process(server.handle_query(work))
+                yield env.timeout(rng.expovariate(30_000.0))
+
+        env.process(generator())
+        env.run()
+        dropped = server.deadline_stats.dropped
+        assert set(dropped) == {"core.queue", "fpga.queue", "post.queue"}
+        assert server.completed + server.rejected \
+            + server.deadline_stats.total == 400
+        for resource in (server.cores, server.fpga_slots):
+            assert resource.count == 0 and not resource.queue
