@@ -19,18 +19,16 @@ control plane:
   check* (rejections observed, zero stale admissions), and the stranded
   SM must re-acquire capacity after the partition heals.
 
-Run standalone to append a run to the committed trajectory file::
+Run standalone to write ``BENCH_control.json``::
 
     PYTHONPATH=src python benchmarks/bench_control_plane_soak.py          # full
     PYTHONPATH=src python benchmarks/bench_control_plane_soak.py --quick  # CI
-
-``BENCH_control.json`` keeps a bounded ``history`` of prior runs so the
-trajectory across PRs stays in the repo, not in CI logs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import platform
 import random
 import sys
@@ -59,8 +57,6 @@ from repro.haas import (  # noqa: E402
     audit_journal,
 )
 from repro.net import TopologyConfig, idle  # noqa: E402
-
-from _harness import write_result  # noqa: E402
 
 #: The acceptance gates (see module docstring / ISSUE 9).
 AVAILABILITY_MIN = 0.99
@@ -417,14 +413,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="shorter soak (CI smoke)")
     parser.add_argument("--output", type=Path,
                         default=REPO_ROOT / "BENCH_control.json",
-                        help="result/trajectory file to write")
+                        help="result file to write")
     args = parser.parse_args(argv)
 
     result = run_suite(quick=args.quick)
     for name, value in sorted(result["metrics"].items()):
         print(f"{name:>36}: {value}")
     failures = check_gates(result["metrics"])
-    write_result(result, args.output)
+    args.output.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.output}")
     if failures:
         for failure in failures:

@@ -13,18 +13,16 @@ DNN pool with one limplocked FPGA.  Four gates:
   pre-surge goodput) — the regression guard proving the protected
   numbers are not vacuous.
 
-Run standalone to append a run to the committed trajectory file::
+Run standalone to write ``BENCH_overload.json``::
 
     PYTHONPATH=src python benchmarks/bench_overload_surge.py          # full
     PYTHONPATH=src python benchmarks/bench_overload_surge.py --quick  # CI
-
-``BENCH_overload.json`` keeps a bounded ``history`` of prior runs so the
-trajectory across PRs stays in the repo, not in CI logs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import platform
 import random
 import sys
@@ -47,8 +45,6 @@ from repro.ranking.service import (  # noqa: E402
 )
 from repro.sim import Environment  # noqa: E402
 from repro.workloads import FlashCrowdProfile  # noqa: E402
-
-from _harness import write_result  # noqa: E402
 
 #: The acceptance gates (see module docstring / ISSUE 6).
 GOODPUT_RATIO_MIN = 0.85
@@ -200,14 +196,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="smaller workloads (CI smoke)")
     parser.add_argument("--output", type=Path,
                         default=REPO_ROOT / "BENCH_overload.json",
-                        help="result/trajectory file to write")
+                        help="result file to write")
     args = parser.parse_args(argv)
 
     result = run_suite(quick=args.quick)
     for name, value in sorted(result["metrics"].items()):
         print(f"{name:>32}: {value}")
     failures = check_gates(result["metrics"])
-    write_result(result, args.output)
+    args.output.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.output}")
     if failures:
         for failure in failures:

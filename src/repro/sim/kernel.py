@@ -200,6 +200,8 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
         """Place a triggered event on the schedule ``delay`` s from now."""
+        if delay < 0:
+            raise ValueError(f"negative schedule delay: {delay}")
         self._push(self._now + delay, priority, event)
 
     def call_later(self, delay: float, fn: Callable[..., None],

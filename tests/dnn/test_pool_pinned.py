@@ -6,7 +6,8 @@ of either path must leave every sample bit-identical.  The digests
 below are SHA-256 over the little-endian IEEE-754 doubles of the
 samples, in completion order, next to the counters the same run
 produces.  The schedule-size pin counts the kernel's entries per
-request, so a change that folds or adds one fails by name.
+request and each layer's Python calls, so a change that folds or adds
+an entry, or adds Python work, fails by name.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from repro.dnn.pool import (
 )
 from repro.overload.hedging import HedgeConfig, HedgeController
 from repro.sim import Environment, RandomStreams
+from tests.layer_calls import repro_calls
 
 
 def digest(samples) -> str:
@@ -112,20 +114,27 @@ def test_schedule_size_pinned():
     clients on a remote 6-FPGA pool.  A request makes 7 schedule
     entries (arrival timeout, process start, two network halves, slot
     grant, service timeout, process end); each client adds its own
-    start and end."""
-    env = Environment()
-    streams = RandomStreams(seed=1)
-    pool = DnnPool(env, 6, rng=streams.stream("dnn-pool"),
-                   remote=RemoteNetworkModel())
+    start and end.  The Python calls per layer are pinned next to
+    them."""
+    def run():
+        env = Environment()
+        streams = RandomStreams(seed=1)
+        pool = DnnPool(env, 6, rng=streams.stream("dnn-pool"),
+                       remote=RemoteNetworkModel())
 
-    def client(cid: int):
-        rng = streams.stream(f"client-{cid}")
-        for _ in range(250):
-            env.process(pool.request())
-            yield env.timeout(rng.expovariate(283.43))
+        def client(cid: int):
+            rng = streams.stream(f"client-{cid}")
+            for _ in range(250):
+                env.process(pool.request())
+                yield env.timeout(rng.expovariate(283.43))
 
-    for cid in range(12):
-        env.process(client(cid))
-    env.run()
+        for cid in range(12):
+            env.process(client(cid))
+        env.run()
+        return env, pool
+
+    (env, pool), calls = repro_calls(run)
     assert pool.completed == 3000
     assert env.events_processed == 7 * 3000 + 2 * 12
+    assert calls == {"sim": 34509, "dnn": 36007, "overload": 3000,
+                     "core": 3001}

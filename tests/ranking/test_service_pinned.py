@@ -27,6 +27,7 @@ from repro.sim import Environment
 from repro.trace import TraceContext
 from repro.trace.stages import Stage
 from repro.workloads import FlashCrowdProfile
+from tests.layer_calls import repro_calls
 
 
 def digest(samples) -> str:
@@ -101,19 +102,26 @@ def test_schedule_size_pinned():
     queries at 11,000 qps into a protected remote-FPGA server.  An
     accelerated query makes 9 schedule entries (arrival timeout, process
     start, three slot grants, three hold timeouts, process end); the
-    generator adds its own start and end."""
-    env = Environment()
-    config = RankingServiceConfig(mode=AccelerationMode.REMOTE_FPGA,
-                                  overload=OverloadConfig())
-    server = RankingServer(env, config, rng=random.Random(2))
-    arrivals = random.Random(1)
+    generator adds its own start and end.  The Python calls per layer
+    are pinned next to them."""
+    def run():
+        env = Environment()
+        config = RankingServiceConfig(mode=AccelerationMode.REMOTE_FPGA,
+                                      overload=OverloadConfig())
+        server = RankingServer(env, config, rng=random.Random(2))
+        arrivals = random.Random(1)
 
-    def generator():
-        for _ in range(4000):
-            env.process(server.handle_query())
-            yield env.timeout(arrivals.expovariate(11_000.0))
+        def generator():
+            for _ in range(4000):
+                env.process(server.handle_query())
+                yield env.timeout(arrivals.expovariate(11_000.0))
 
-    env.process(generator())
-    env.run()
+        env.process(generator())
+        env.run()
+        return env, server
+
+    (env, server), calls = repro_calls(run)
     assert server.completed == 4000
     assert env.events_processed == 9 * 4000 + 2
+    assert calls == {"sim": 63434, "ranking": 68002, "overload": 40045,
+                     "core": 16001}

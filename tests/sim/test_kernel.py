@@ -43,6 +43,18 @@ class TestEnvironmentBasics:
         with pytest.raises(ValueError):
             env.timeout(-1.0)
 
+    def test_negative_schedule_delay_rejected(self):
+        """A negative delay would move the clock backwards."""
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        event = env.event()
+        event._ok = True
+        with pytest.raises(ValueError):
+            env.schedule(event, delay=-0.5)
+        env.run()
+        assert env.now == 1.0
+
     def test_run_until_time_stops_exactly(self):
         env = Environment()
         env.timeout(10.0)

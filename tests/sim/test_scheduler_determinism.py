@@ -4,19 +4,17 @@ The kernel orders every entry by ``(time, priority, seq)``.  These tests
 pin the observable contract as literals: same-instant FIFO, URGENT
 before NORMAL, ``call_at``/``call_later`` interleaving, clock-edge
 order, and — the integration-level check — the Fig. 10 digest and
-event count recorded before the schedule became a single heap.
+event count recorded before the schedule became a single heap, next to
+the sweep's Python calls per layer.
 """
 
 import hashlib
-import importlib
-from pathlib import Path
 
 from repro.core.cloud import ConfigurableCloud
 from repro.experiments.fig10 import DEFAULT_TIER_PAIRS
 from repro.sim import Environment
 from repro.sim.events import NORMAL, URGENT, Event
-
-BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+from tests.layer_calls import repro_calls
 
 
 class TestSameInstantFifo:
@@ -143,6 +141,21 @@ class TestClockEdges:
         assert seen == [(False, False), (True, False)]
 
 
+def fig10_sweep(messages: int):
+    """The seed-10 Fig. 10 sweep, ``messages`` round trips per pair:
+    returns its environment and every RTT sample."""
+    env = Environment()
+    cloud = ConfigurableCloud(env=env, seed=10)
+    samples = []
+    for _tier, (_reach, pairs) in DEFAULT_TIER_PAIRS.items():
+        for src, dst in pairs:
+            for host in (src, dst):
+                if host not in cloud.servers:
+                    cloud.add_server(host, enroll=False)
+            samples.extend(cloud.measure_ltl_rtt(src, dst, messages=messages))
+    return env, samples
+
+
 class TestFig10Digest:
     #: SHA-256 of every RTT sample, the event count and the final clock
     #: of the seed-10 Fig. 10 sweep below.
@@ -151,24 +164,17 @@ class TestFig10Digest:
 
     def test_fig10_digest_pinned(self):
         """The paper-headline workload reproduces to the bit: every RTT
-        sample, the event count and the final clock."""
-        env = Environment()
-        cloud = ConfigurableCloud(env=env, seed=10)
-        samples = []
-        for _tier, (_reach, pairs) in DEFAULT_TIER_PAIRS.items():
-            for src, dst in pairs:
-                for host in (src, dst):
-                    if host not in cloud.servers:
-                        cloud.add_server(host, enroll=False)
-                samples.extend(
-                    cloud.measure_ltl_rtt(src, dst, messages=8))
+        sample, the event count, the final clock and the Python calls
+        each layer makes."""
+        (env, samples), calls = repro_calls(fig10_sweep, 8)
         assert env.events_processed == 7584
         payload = repr((samples, env.events_processed, env.now))
         assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGEST
+        assert calls == {"sim": 16397, "net": 10672, "ltl": 6862,
+                         "router": 5796, "fpga": 3262, "overload": 336,
+                         "core": 253}
 
-    def test_bench_core_speed_fig10_event_count(self, monkeypatch):
-        """``bench_core_speed.py`` reports ``fig10_events = 56152`` for
-        its full run (60 messages per pair, seed 10)."""
-        monkeypatch.syspath_prepend(str(BENCHMARKS))
-        bench = importlib.import_module("bench_core_speed")
-        assert bench.bench_fig10(60)["events"] == 56152
+    def test_fig10_event_count_pinned(self):
+        """60 round trips per pair make 56,152 events."""
+        env, _samples = fig10_sweep(60)
+        assert env.events_processed == 56152
